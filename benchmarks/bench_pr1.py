@@ -30,7 +30,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 from paxml import perf
 from paxml.analysis import eager_evaluate, lazy_evaluate
-from paxml.query import evaluate_snapshot, parse_query
+from paxml.query import parse_query, spec_snapshot
 from paxml.query.incremental import IncrementalQueryEvaluator
 from paxml.system import RewritingEngine, materialize
 from paxml.tree.node import label, val
@@ -93,7 +93,7 @@ def bench_e3(base_rows: int, batches: int, batch_rows: int) -> dict:
         if batch:
             grow(document, batch - 1)
         seconds, answers = timed(
-            lambda: evaluate_snapshot(query, {"d": document}))
+            lambda: spec_snapshot(query, {"d": document}))
         t_seed += seconds
     final_full = list(answers)
 

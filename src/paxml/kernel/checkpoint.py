@@ -398,13 +398,10 @@ def resume(path: str, *, engine: Optional[str] = None,
     # queries *before* the safety-net enqueue, so uncovered sites land in
     # the right queue (dormant vs fresh) and retired sites stay retired.
     # The restored dormant bucket is a hint — enable_lazy reconciles both
-    # directions against a freshly computed tracker.  When the perf flag
-    # is off (enable_lazy no-ops) the whole frontier wakes eagerly, which
-    # is always sound.
+    # directions against a freshly computed tracker.
     lazy_queries = bundle.header.get("lazy_queries")
-    if lazy_queries and not kernel.enable_lazy(
-            [parse_query(text) for text in lazy_queries]):
-        kernel.scheduler.wake_all_dormant()
+    if lazy_queries:
+        kernel.enable_lazy([parse_query(text) for text in lazy_queries])
     if bundle.header.get("fire_once") and not kernel.enable_fire_once():
         kernel.scheduler.unretire_all()
     # Safety net: any live call the frontier does not cover (e.g. one the

@@ -135,7 +135,7 @@ class EvaluationKernel:
     # lazy scheduling and fire-once (Section 4 as runtime policy)
     # ------------------------------------------------------------------
 
-    def enable_lazy(self, queries: Sequence) -> bool:
+    def enable_lazy(self, queries: Sequence) -> None:
         """Install (or reseed) relevance-guided scheduling for ``queries``.
 
         The goal set is the registered queries; call sites not weakly
@@ -144,12 +144,7 @@ class EvaluationKernel:
         the tracker incrementally).  Passing a new query set *reseeds*
         the tracker — the one operation that can shrink relevance — and
         reconciles the queues in both directions.
-
-        No-op returning ``False`` when ``perf.flags.lazy_scheduling`` is
-        off (the equivalence-oracle configuration: the run stays eager).
         """
-        if not perf.flags.lazy_scheduling:
-            return False
         if self.system is None:
             raise ValueError("lazy scheduling needs a local system")
         from ..analysis.relevance import RelevanceTracker
@@ -163,7 +158,6 @@ class EvaluationKernel:
         else:
             self.relevance_tracker.reseed(self.lazy_queries)
             self._reconcile_relevance("reseed")
-        return True
 
     # The serve layer's subscribe/unsubscribe path: same operation, the
     # name records the intent.
@@ -234,7 +228,7 @@ class EvaluationKernel:
         retired set (:meth:`apply_external`): new outside data may feed
         anything.
         """
-        if not perf.flags.lazy_scheduling or self.system is None:
+        if self.system is None:
             return False
         from ..system.dependency import dependency_graph
         graph = dependency_graph(self.system)

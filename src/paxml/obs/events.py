@@ -29,8 +29,7 @@ kind                      payload
 ``plan_compiled``         rule, atoms — each atom a record with document and
                           the planned (selectivity-ordered) pattern text
 ``plan_lowered``          rule, atoms — the plan was lowered to specialized
-                          closures (once per plan, on first closure-path
-                          execution)
+                          closures (once per plan, on first execution)
 ``store_warmed``          rows, interned_markings — a document tree was
                           (re)indexed wholesale into the columnar store
 ``tenant_created``        tenant, documents, services

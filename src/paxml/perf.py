@@ -2,12 +2,14 @@
 
 The incremental materialization machinery (versioned nodes, the persistent
 subsumption cache, cached canonical keys, delta-driven snapshot evaluation)
-is soundness-preserving but makes benchmarking against the from-scratch
-baseline awkward without a switchboard.  This module is that switchboard:
+is soundness-preserving; this module is the switchboard that lets tests
+and benchmarks compare it with the definitions it implements:
 
-* :data:`flags` — process-wide enable bits.  Turning a bit off restores the
-  seed behaviour of the corresponding subsystem (full recomputation), which
-  is what ``BENCH_pr1.json`` measures the speedups against.
+* :data:`flags` — process-wide enable bits.  Turning a bit off replaces
+  the corresponding subsystem by full recomputation; with
+  ``incremental_matching`` off, every call-site evaluation of the
+  sequential engine runs the spec oracle
+  :func:`paxml.query.matching.spec_snapshot`.
 * :data:`stats` — cheap monotone counters (cache hits/misses, delta vs full
   evaluations) surfaced by the benchmark harness as hit rates.
 * :func:`clear_caches` — drops every process-level cache.  Tests call this
@@ -44,22 +46,22 @@ class Flags:
 
     subsumption_cache: bool = True   # persistent ((uid, ver), (uid, ver)) memo
     canonical_key_cache: bool = True  # per-node (version, key) memo
-    incremental_matching: bool = True  # delta-driven snapshot evaluation
-    query_planner: bool = True       # compiled match plans (paxml.query.plan)
+    # Delta-driven call-site evaluation (paxml.query.incremental), which
+    # runs the compiled plans of paxml.query.plan.  Off is the spec
+    # oracle: every call-site evaluation of the sequential engine
+    # recomputes its whole answer with the naive matcher
+    # (paxml.query.matching.spec_snapshot).
+    incremental_matching: bool = True
     child_index: bool = True         # per-parent marking buckets (paxml.tree.index)
     # Columnar struct-of-arrays node store (paxml.tree.store): flat arrays
     # keyed by uid for labels/values/parents/children/versions plus packed
     # subtree marking bitsets; subsumption candidate filtering compares
     # int bitsets instead of per-node frozensets when this is on.
     columnar_store: bool = True
-    # Plan-to-closure compilation (paxml.query.plan): compiled plan steps
-    # execute as specialized closures instead of the interpreted
-    # ``_match_node`` dispatch.  Off restores the PR 4 plan interpreter.
-    closure_compile: bool = True
     # Graft-log retention (paxml.kernel): with the flag off the kernel
-    # appends no GraftRecords (PR 4 behaviour, for memory-constrained
-    # runs); checkpoints then carry only the fresh document snapshot and
-    # cannot be replay-validated.
+    # appends no GraftRecords (for memory-constrained runs); checkpoints
+    # then carry only the fresh document snapshot and cannot be
+    # replay-validated.
     graft_log: bool = True
     # Causal tracing (paxml.obs.trace): with the flag off, request
     # admission never mints a TraceContext — the propagation machinery
@@ -69,13 +71,6 @@ class Flags:
     # paxml.obs.trace.DEFAULT_SAMPLE_RATE); this bit is the process-wide
     # kill switch.
     tracing: bool = True
-    # Relevance-guided lazy scheduling (paxml.analysis.relevance +
-    # paxml.kernel): with the flag off, ``EvaluationKernel.enable_lazy``
-    # and ``enable_fire_once`` become no-ops, so every run is eager even
-    # when a caller passes ``lazy_for=...`` — the equivalence-oracle
-    # configuration.  The bit only matters for callers that opt in; it
-    # changes nothing for plain eager runs.
-    lazy_scheduling: bool = True
 
     def set_all(self, enabled: bool) -> None:
         for f in fields(self):
@@ -159,7 +154,7 @@ class Stats:
     bitset_rejects: int = 0
     facade_materializations: int = 0
     # Closure-compilation counter (paxml.query.plan): plans lowered to
-    # specialized closures (once per plan, on first closure execution).
+    # specialized closures (once per plan, on first execution).
     closure_compilations: int = 0
     # Causal-tracing counters (paxml.obs.trace): head-sampling decisions
     # at request admission, finished spans dispatched to sinks, and
@@ -227,7 +222,3 @@ def clear_caches() -> None:
     """Drop every registered process-level cache (stats are kept)."""
     for clearer in _cache_clearers:
         clearer()
-
-
-def incremental_enabled() -> bool:
-    return flags.incremental_matching

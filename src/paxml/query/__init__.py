@@ -5,6 +5,7 @@ from .matching import (
     enumerate_assignments,
     evaluate_snapshot,
     match_pattern,
+    spec_snapshot,
 )
 from .parser import parse_pattern, parse_queries, parse_query
 from .plan import QueryPlan, compile_query, describe_plan, warm_system
@@ -46,4 +47,5 @@ __all__ = [
     "parse_queries",
     "parse_query",
     "pattern_to_text",
+    "spec_snapshot",
 ]

@@ -34,6 +34,8 @@ from .matching import (
     binding_keyer,
     enumerate_assignments,
     enumerate_assignments_delta,
+    evaluate_snapshot,
+    spec_snapshot,
     valuation_summary,
     witness_uids,
 )
@@ -220,13 +222,16 @@ class IncrementalQueryEvaluator:
                        site: Optional[Hashable]) -> Forest:
         """Answers not previously returned for ``site`` (all of them if new).
 
-        Falls back to a full snapshot evaluation — returning the complete
-        result — when incremental matching is disabled or no site identity
-        is available.
+        Returns the complete snapshot result when no site identity is
+        available.  With ``perf.flags.incremental_matching`` off every
+        call returns the complete result of the spec oracle
+        :func:`~paxml.query.matching.spec_snapshot`, recomputed from
+        scratch.
         """
-        from .matching import evaluate_snapshot  # local: avoid cycle at import
-
-        if site is None or not perf.flags.incremental_matching:
+        if not perf.flags.incremental_matching:
+            perf.stats.full_evaluations += 1
+            return spec_snapshot(self.query, environment, self.rule_index)
+        if site is None:
             perf.stats.full_evaluations += 1
             return evaluate_snapshot(self.query, environment)
 

@@ -11,8 +11,23 @@ other tree assigned to the variable is subsumed by the subtree at the image
 node, so restricting to actual subtrees changes nothing after forest
 reduction (the result is the same reduced forest).
 
-The matcher also evaluates positive+reg patterns natively by walking
-document paths and NFA states in lockstep; Proposition 5.1's translation ψ
+This module holds the query layer's entry points and its oracle:
+
+* **Fast path.** :func:`enumerate_assignments`,
+  :func:`enumerate_assignments_delta` and :func:`evaluate_snapshot` run
+  the compiled plan of :mod:`paxml.query.plan`.
+* **Spec oracle.** :func:`spec_snapshot` applies the definition directly:
+  the naive matcher :func:`match_pattern` embeds each body atom, atoms
+  join left to right, and the whole result is recomputed on every call.
+  Tests compare the fast path against it, and with
+  ``perf.flags.incremental_matching`` off every call-site evaluation of
+  the sequential engine uses it.
+* **Witnesses.** :func:`witness_uids` re-walks one embedding of a known
+  assignment to recover its image nodes for provenance.
+
+Both the plan and the naive matcher evaluate positive+reg patterns
+natively by walking document paths and NFA states in lockstep
+(:func:`_regex_end_nodes`); Proposition 5.1's translation ψ
 (:mod:`paxml.analysis.translation`) is validated against this native
 semantics.
 """
@@ -21,7 +36,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from .. import perf
 from ..obs import bus as obs_bus
 from ..obs.provenance import stage_answer
 from ..tree.document import Forest
@@ -125,206 +139,6 @@ def match_pattern(pattern: PatternNode, root: Node,
     yield from _match_node(pattern, root, dict(binding or {}))
 
 
-# ----------------------------------------------------------------------
-# Delta-driven matching (the incremental engine's semi-naive evaluation).
-#
-# Documents grow monotonically: subtrees are only ever appended, and every
-# append bumps the version stamp of each node on its root path (see
-# ``paxml.tree.node``).  An embedding whose image nodes all predate a cutoff
-# stamp — and whose tree-variable subtrees are unchanged since it — already
-# existed at the cutoff, because old nodes never move and markings are
-# immutable.  Contrapositively, every *new* embedding maps at least one
-# pattern node to a node created after the cutoff (uid > cutoff) or binds a
-# tree variable to a subtree grown since it (version > cutoff).  The
-# matchers below enumerate exactly those embeddings, pruning every document
-# subtree with ``version <= cutoff`` as soon as the remaining pattern can no
-# longer reach new data.
-# ----------------------------------------------------------------------
-
-
-class _DeltaContext:
-    """Per-evaluation state for one delta pass: cutoff + new-child lists.
-
-    The new-children lists are memoised so a join re-visiting the same node
-    for thousands of partial bindings filters its children once, not once
-    per binding.
-    """
-
-    __slots__ = ("cutoff", "_new_children")
-
-    def __init__(self, cutoff: int):
-        self.cutoff = cutoff
-        self._new_children: Dict[int, List[Node]] = {}
-
-    def new_children(self, node: Node) -> List[Node]:
-        cached = self._new_children.get(id(node))
-        if cached is None:
-            cutoff = self.cutoff
-            cached = [c for c in node.children if c.version > cutoff]
-            self._new_children[id(node)] = cached
-        return cached
-
-
-def _match_node_delta(pattern: PatternNode, node: Node, binding: Assignment,
-                      ctx: _DeltaContext,
-                      need_new: bool) -> Iterator[Tuple[Assignment, bool]]:
-    """Extensions of ``binding`` embedding ``pattern`` at ``node``.
-
-    Yields ``(assignment, used_new)``.  With ``need_new`` the embedding of
-    this pattern subtree must itself touch post-cutoff data; since all its
-    images lie inside ``node``'s subtree, an unchanged subtree is pruned
-    outright.  Callers maintain ``need_new ⇒ newness not yet witnessed``.
-    """
-    if need_new and node.version <= ctx.cutoff:
-        return
-    spec = pattern.spec
-    if isinstance(spec, RegexSpec):
-        for end in _regex_end_nodes(spec, node):
-            # A path ending at a pre-cutoff node consists of pre-cutoff
-            # nodes only (descendants of new nodes are new), so the end
-            # node's age decides the whole path's.
-            end_new = end.uid > ctx.cutoff
-            yield from _match_children_delta(pattern.children, end, binding,
-                                             ctx, need_new and not end_new,
-                                             end_new)
-        return
-    if isinstance(spec, TreeVar):
-        # The entry prune already rejected unchanged subtrees under
-        # need_new, so reaching here with need_new implies the subtree (and
-        # hence the binding) is new.
-        extended = dict(binding)
-        extended[spec] = node
-        yield extended, node.version > ctx.cutoff
-        return
-    if isinstance(spec, (LabelVar, FunVar, ValueVar)):
-        if not spec.admits(node.marking):
-            return
-        self_new = node.uid > ctx.cutoff
-        bound = binding.get(spec)
-        if bound is not None:
-            if bound != node.marking:
-                return
-            yield from _match_children_delta(pattern.children, node, binding,
-                                             ctx, need_new and not self_new,
-                                             self_new)
-        else:
-            extended = dict(binding)
-            extended[spec] = node.marking
-            yield from _match_children_delta(pattern.children, node, extended,
-                                             ctx, need_new and not self_new,
-                                             self_new)
-        return
-    if spec == node.marking:
-        self_new = node.uid > ctx.cutoff
-        yield from _match_children_delta(pattern.children, node, binding,
-                                         ctx, need_new and not self_new,
-                                         self_new)
-
-
-def _match_children_delta(patterns: List[PatternNode], node: Node,
-                          binding: Assignment, ctx: _DeltaContext,
-                          need_new: bool,
-                          have_new: bool) -> Iterator[Tuple[Assignment, bool]]:
-    """Embed the child patterns, threading the newness obligation.
-
-    Only the *last* remaining sibling inherits a hard ``need_new``: earlier
-    siblings may match old data as long as a later one reaches new data —
-    that split is exactly the semi-naive ``Δ⋈full + full⋈Δ`` decomposition,
-    applied inside a single pattern.
-    """
-    if not patterns:
-        if need_new:
-            return
-        yield binding, have_new
-        return
-    first, rest = patterns[0], patterns[1:]
-    first_need = need_new and not rest
-    candidates: Iterable[Node] = (
-        ctx.new_children(node) if first_need else node.children
-    )
-    spec = first.spec
-    if isinstance(spec, (Label, FunName, Value)):
-        candidates = [c for c in candidates if c.marking == spec]
-    for child in candidates:
-        for extended, sub_new in _match_node_delta(first, child, binding,
-                                                   ctx, first_need):
-            new_now = have_new or sub_new
-            yield from _match_children_delta(rest, node, extended, ctx,
-                                             need_new and not new_now,
-                                             new_now)
-
-
-def match_pattern_delta(pattern: PatternNode, root: Node, cutoff: int,
-                        binding: Optional[Assignment] = None
-                        ) -> Iterator[Assignment]:
-    """Assignments embedding ``pattern`` at ``root`` that use post-cutoff data.
-
-    The complement of the cached set: together with the assignments found at
-    stamp ``cutoff`` this covers all current embeddings (monotone growth,
-    Proposition 3.1).
-    """
-    if root.version <= cutoff:
-        return
-    ctx = _DeltaContext(cutoff)
-    for assignment, _used_new in _match_node_delta(pattern, root,
-                                                   dict(binding or {}),
-                                                   ctx, True):
-        yield assignment
-
-
-def enumerate_assignments_delta(query: PositiveQuery,
-                                documents: Mapping[str, Node],
-                                cutoff: int,
-                                seen: set) -> List[Assignment]:
-    """Satisfying assignments not yet recorded in ``seen``.
-
-    Semi-naive over body atoms: one pass per atom, restricting that atom's
-    embeddings to the delta since ``cutoff`` while the other atoms match in
-    full.  A pass is skipped when its atom's document is unchanged, so an
-    invocation that grew a single document only pays for the atoms reading
-    it.  ``seen`` is updated in place with the new assignments' keys.
-    """
-    if perf.flags.query_planner:
-        from .plan import compile_query  # lazy: plan imports this module
-
-        return compile_query(query).execute_delta(documents, cutoff, seen)
-    body = query.body
-    for atom in body:
-        if atom.document not in documents:
-            raise MissingDocumentError(atom.document, documents.keys())
-    new_assignments: List[Assignment] = []
-    for i, delta_atom in enumerate(body):
-        if documents[delta_atom.document].version <= cutoff:
-            continue
-        bindings: List[Assignment] = [{}]
-        for j, atom in enumerate(body):
-            root = documents[atom.document]
-            extended: List[Assignment] = []
-            step_seen = set()
-            for binding in bindings:
-                matches = (
-                    match_pattern_delta(atom.pattern, root, cutoff, binding)
-                    if j == i else match_pattern(atom.pattern, root, binding)
-                )
-                for result in matches:
-                    key = _binding_key(result)
-                    if key not in step_seen:
-                        step_seen.add(key)
-                        extended.append(result)
-            bindings = extended
-            if not bindings:
-                break
-        keyer = binding_keyer(query)
-        for binding in bindings:
-            key = keyer(binding)
-            if key in seen:
-                continue
-            seen.add(key)
-            if _inequalities_hold(query.inequalities, binding):
-                new_assignments.append(binding)
-    return new_assignments
-
-
 def _binding_key(binding: Assignment) -> frozenset:
     """Hashable identity of an assignment, for deduplication.
 
@@ -348,9 +162,8 @@ def binding_keyer(query: PositiveQuery):
     Every satisfying assignment binds exactly the body variables, so a
     plain value tuple in one fixed variable order identifies it — no
     per-item variable hashing, no frozenset build.  The keyer is cached
-    on the query and shared by every consumer (planner, naive matcher,
-    incremental evaluator) so keys in persisted ``seen`` sets stay
-    comparable whichever path produced them.
+    on the query and shared by the plan executor and the incremental
+    evaluator, so keys in persisted ``seen`` sets stay comparable.
     """
     keyer = getattr(query, "_binding_keyer", None)
     if keyer is not None:
@@ -374,34 +187,28 @@ def binding_keyer(query: PositiveQuery):
 
 def enumerate_assignments(query: PositiveQuery,
                           documents: Mapping[str, Node]) -> List[Assignment]:
-    """All distinct satisfying assignments for the rule body.
+    """All distinct satisfying assignments for the rule body, enumerated
+    by the compiled plan of :mod:`paxml.query.plan`."""
+    from .plan import compile_query  # lazy: plan imports this module
 
-    With ``perf.flags.query_planner`` set (the default) the enumeration
-    routes through the compiled plan of :mod:`paxml.query.plan`; the
-    naive join below is the oracle the plan executor is tested against,
-    and the runtime fallback when the flag is off.
+    return compile_query(query).execute(documents)
+
+
+def enumerate_assignments_delta(query: PositiveQuery,
+                                documents: Mapping[str, Node],
+                                cutoff: int,
+                                seen: set) -> List[Assignment]:
+    """Satisfying assignments not yet recorded in ``seen``.
+
+    Semi-naive over body atoms: one pass per atom, restricting that atom's
+    embeddings to data newer than ``cutoff`` while the other atoms match in
+    full.  A pass is skipped when its atom's document is unchanged, so an
+    invocation that grew a single document only pays for the atoms reading
+    it.  ``seen`` is updated in place with the new assignments' keys.
     """
-    if perf.flags.query_planner:
-        from .plan import compile_query  # lazy: plan imports this module
+    from .plan import compile_query  # lazy: plan imports this module
 
-        return compile_query(query).execute(documents)
-    bindings: List[Assignment] = [{}]
-    for atom in query.body:
-        if atom.document not in documents:
-            raise MissingDocumentError(atom.document, documents.keys())
-        root = documents[atom.document]
-        extended: List[Assignment] = []
-        seen = set()
-        for binding in bindings:
-            for result in match_pattern(atom.pattern, root, binding):
-                key = _binding_key(result)
-                if key not in seen:
-                    seen.add(key)
-                    extended.append(result)
-        bindings = extended
-        if not bindings:
-            return []
-    return [b for b in bindings if _inequalities_hold(query.inequalities, b)]
+    return compile_query(query).execute_delta(documents, cutoff, seen)
 
 
 # ----------------------------------------------------------------------
@@ -512,16 +319,9 @@ def _inequalities_hold(inequalities: List[Inequality], binding: Assignment) -> b
     )
 
 
-def evaluate_snapshot(query: PositiveQuery,
-                      documents: Mapping[str, Node],
-                      rule_index: int = 0) -> Forest:
-    """The snapshot result ``q(I)``, as a reduced forest.
-
-    ``documents`` maps document names (including, when the query is a
-    service body, the reserved names ``input`` and ``context``) to tree
-    roots.  The input trees are never mutated; results are fresh trees.
-    """
-    assignments = enumerate_assignments(query, documents)
+def _answer_forest(query: PositiveQuery, documents: Mapping[str, Node],
+                   assignments: List[Assignment], rule_index: int) -> Forest:
+    """The reduced forest of ``µ(head)`` over ``assignments``."""
     results = []
     for binding in assignments:
         answer = instantiate(query.head, binding)
@@ -532,3 +332,49 @@ def evaluate_snapshot(query: PositiveQuery,
                          valuation=valuation_summary(binding),
                          matched=witness_uids(query, documents, binding))
     return Forest(reduce_forest(results))
+
+
+def evaluate_snapshot(query: PositiveQuery,
+                      documents: Mapping[str, Node],
+                      rule_index: int = 0) -> Forest:
+    """The snapshot result ``q(I)``, as a reduced forest.
+
+    ``documents`` maps document names (including, when the query is a
+    service body, the reserved names ``input`` and ``context``) to tree
+    roots.  The input trees are never mutated; results are fresh trees.
+    """
+    return _answer_forest(query, documents,
+                          enumerate_assignments(query, documents), rule_index)
+
+
+def spec_snapshot(query: PositiveQuery,
+                  documents: Mapping[str, Node],
+                  rule_index: int = 0) -> Forest:
+    """``q(I)`` computed straight from the definition: the spec oracle.
+
+    Joins the body atoms left to right with :func:`match_pattern`, keeps
+    the assignments satisfying every inequality, and reduces the
+    instantiated heads.  No plan or marking index is consulted, so the
+    result is what every fast path (:func:`evaluate_snapshot`, the
+    per-site deltas of :mod:`paxml.query.incremental`) is checked against.
+    """
+    bindings: List[Assignment] = [{}]
+    for atom in query.body:
+        if atom.document not in documents:
+            raise MissingDocumentError(atom.document, documents.keys())
+        root = documents[atom.document]
+        extended: List[Assignment] = []
+        seen = set()
+        for binding in bindings:
+            for result in match_pattern(atom.pattern, root, binding):
+                key = _binding_key(result)
+                if key not in seen:
+                    seen.add(key)
+                    extended.append(result)
+        bindings = extended
+        if not bindings:
+            break
+    return _answer_forest(
+        query, documents,
+        [b for b in bindings if _inequalities_hold(query.inequalities, b)],
+        rule_index)

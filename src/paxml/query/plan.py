@@ -1,12 +1,9 @@
-"""Compiled match plans: the query compiler over the marking indexes.
+"""Compiled match plans: the query layer's one executor.
 
-:func:`paxml.query.matching.enumerate_assignments` realizes Proposition
-3.1's PTIME bound as naive backtracking — sibling patterns join in author
-order, every candidate set is a linear scan of ``node.children``, each
-binding extension copies the whole assignment dict, and inequalities are
-checked only on complete assignments.  This module compiles each
-:class:`~paxml.query.rule.PositiveQuery` once into an executable plan
-that removes all four costs:
+Each :class:`~paxml.query.rule.PositiveQuery` is compiled once into a
+plan, and each plan node is lowered once into a specialized Python
+closure.  The closures enumerate the assignments of Proposition 3.1 with
+these techniques:
 
 * **sibling ordering** — each pattern node's children are reordered by
   static selectivity (constant subpatterns before regex paths before
@@ -19,6 +16,12 @@ that removes all four costs:
   embeds wherever the other does, non-injectively), and at run time the
   whole subpattern becomes one :func:`is_subsumed` test against the
   *persistent* subsumption cache — repeated evaluations pay nothing;
+* **runtime-const subpatterns** — a closed subpattern (no regex, no tree
+  variables) whose node variables are all bound by the time the join
+  reaches it is instantiated into a plain tree, hash-consed per (plan
+  node, bound values), and matched with a single :func:`is_subsumed`
+  test; join shapes like ``t{c0{$z}, c1{$y}}`` with ``$z`` bound take
+  this path;
 * **indexed candidates** — constant-marked siblings draw candidates from
   :func:`paxml.tree.index.child_bucket` instead of scanning children,
   and a sibling shaped ``p{q{$z}, …}`` with ``$z`` bound probes the
@@ -35,45 +38,29 @@ that removes all four costs:
   already-bound variables are discounted, so the join frontier stays
   small.
 
-Delta evaluation (:func:`QueryPlan.execute_delta`) keeps the semi-naive
-contract of :func:`~paxml.query.matching.enumerate_assignments_delta`:
-one pass per changed atom, that atom restricted to post-cutoff data (and
-forced first in the join order — the delta side of ``Δ⋈full``), the
-``seen`` set filtering re-derived assignments.  Constant-subpattern
-shortcuts in delta mode may report an embedding as "new" liberally (the
-cached subsumption verdict does not say *which* nodes the homomorphism
-used); that over-approximation is sound because ``seen`` already filters
-every previously-delivered assignment — only completeness (never missing
-a genuinely new assignment) is load-bearing, and the liberal report
-preserves it.
+Delta evaluation (:meth:`QueryPlan.execute_delta`) is semi-naive.
+Documents grow monotonically, and every append bumps the version stamp
+of each node on its root path, so every embedding that did not exist at
+a cutoff stamp maps some pattern node to a node created after it (uid >
+cutoff) or binds a tree variable to a subtree grown since it (version >
+cutoff).  One pass runs per changed atom, that atom restricted to such
+embeddings and forced first in the join order (the delta side of
+``Δ⋈full``); the ``seen`` set filters re-derived assignments.  Constant
+and runtime-const shortcuts in delta mode may report an embedding as
+"new" liberally (the cached subsumption verdict does not say *which*
+nodes the homomorphism used); that over-approximation is sound because
+``seen`` already filters every previously-delivered assignment — only
+completeness (never missing a genuinely new assignment) is load-bearing,
+and the liberal report preserves it.
 
-The naive matcher stays untouched as the test oracle; the
-``perf.flags.query_planner`` switchboard bit routes evaluation through
-plans and back at runtime.
-
-**Closure lowering** (``perf.flags.closure_compile``): on first planned
-execution each plan is additionally lowered to a tree of specialized
-Python closures, one per plan node — the per-call ``isinstance`` ladder
-of ``_match_node``/``_match_node_delta`` is resolved once at lowering
-time, candidate access paths (probe, bucket, child scan) are selected
-statically, and sibling continuations are precomposed.  Lowering also
-enables the *runtime-const* subpattern shortcut: a closed subpattern
-(no regex, no tree variables) whose node variables are all bound by the
-time the join reaches it is instantiated into a plain tree, hash-consed
-per (plan node, bound values), and matched with a single
-:func:`is_subsumed` test against the persistent subsumption cache —
-this is what makes ``const_subpattern_tests`` fire on join shapes like
-``t{c0{$z}, c1{$y}}`` with ``$z`` bound, where the compile-time const
-path never could (no benchmark query contains a variable-free
-subpattern).  With the flag off, ``_run_join`` drives the PR 4
-interpreter unchanged — it stays the oracle the lowered path is tested
-against.
+The spec oracle every plan is tested against is
+:func:`paxml.query.matching.spec_snapshot`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .. import perf
 from ..obs import bus as obs_bus
@@ -236,7 +223,7 @@ class QueryPlan:
             PlanAtom(atom.document, _compile_pattern(atom.pattern))
             for atom in query.body
         ]
-        self._closure_backend = None  # lazily lowered, see _closures()
+        self._closure_backend = None  # lowered on first run, see _closures()
         self.always_false = False
         # var → other operands it must differ from (vars or constants);
         # checked the moment the *second* operand binds.
@@ -342,9 +329,8 @@ class QueryPlan:
     def _closures(self):
         """The lowered (full, delta) matcher closures, one pair per atom.
 
-        Lowered once per plan, on first closure-path execution; the
-        result is cached on the plan (plans are immutable), so toggling
-        ``perf.flags.closure_compile`` back and forth costs nothing.
+        Lowered once per plan, on first execution, and cached on the plan
+        (plans are immutable).
         """
         backend = self._closure_backend
         if backend is None:
@@ -372,10 +358,7 @@ class QueryPlan:
             new_vars.append(fresh)
             bound.update(fresh)
         binding, trail = state.binding, state.trail
-        if perf.flags.closure_compile:
-            full_matchers, delta_matchers = self._closures()
-        else:
-            full_matchers = delta_matchers = None
+        full_matchers, delta_matchers = self._closures()
 
         bkey = binding_keyer(self.query) if seen is not None else None
 
@@ -408,17 +391,11 @@ class QueryPlan:
                     exts.append(tuple(binding[v] for v in fresh))
 
             mark = len(trail)
-            if delta_atom is not None and order[k] == delta_atom:
-                if delta_matchers is not None:
-                    delta_matchers[order[k]](root, state, True,
-                                             lambda _new: emit())
-                else:
-                    _match_node_delta(atom.root, root, state, True,
-                                      lambda _new: emit())
-            elif full_matchers is not None:
-                full_matchers[order[k]](root, state, emit)
+            if order[k] == delta_atom:
+                delta_matchers[order[k]](root, state, True,
+                                         lambda _new: emit())
             else:
-                _match_node(atom.root, root, state, emit)
+                full_matchers[order[k]](root, state, emit)
             state.undo_to(mark)
             for ext in exts:
                 ok = True
@@ -483,173 +460,18 @@ class _ExecState:
 
 
 # ----------------------------------------------------------------------
-# Plan executors: callback-style analogues of the naive matchers, with
-# indexed candidates, constant-subpattern subsumption shortcuts, and the
-# shared undo-log binding.
-# ----------------------------------------------------------------------
-
-
-def _candidates(plan_node: PlanNode, node: Node,
-                state: _ExecState) -> Sequence[Node]:
-    spec = plan_node.spec
-    if isinstance(spec, _CONST_MARKINGS):
-        if plan_node.probe is not None:
-            q_marking, operand = plan_node.probe
-            value = (operand if isinstance(operand, Value)
-                     else state.binding.get(operand))
-            if value is not None:
-                return tree_index.probe_bucket(node, spec, q_marking, value)
-        return tree_index.child_bucket(node, spec)
-    return node.children
-
-
-def _match_node(plan_node: PlanNode, node: Node, state: _ExecState,
-                cont: Callable[[], None]) -> None:
-    """Invoke ``cont`` once per distinct binding extension embedding
-    ``plan_node`` at ``node`` (extensions live in ``state.binding``)."""
-    spec = plan_node.spec
-    if plan_node.const_tree is not None:
-        perf.stats.const_subpattern_tests += 1
-        if is_subsumed(plan_node.const_tree, node):
-            cont()
-        return
-    if isinstance(spec, RegexSpec):
-        for end in _regex_end_nodes(spec, node):
-            _match_children(plan_node.children, 0, end, state, cont)
-        return
-    if isinstance(spec, TreeVar):
-        if state.bind(spec, node):
-            cont()
-            state.undo_to(len(state.trail) - 1)
-        return
-    if isinstance(spec, _NODE_VARS):
-        if not spec.admits(node.marking):
-            return
-        bound = state.binding.get(spec)
-        if bound is not None:
-            if bound == node.marking:
-                _match_children(plan_node.children, 0, node, state, cont)
-        elif state.bind(spec, node.marking):
-            _match_children(plan_node.children, 0, node, state, cont)
-            state.undo_to(len(state.trail) - 1)
-        return
-    if spec == node.marking:
-        _match_children(plan_node.children, 0, node, state, cont)
-
-
-def _match_children(children: List[PlanNode], i: int, node: Node,
-                    state: _ExecState, cont: Callable[[], None]) -> None:
-    if i == len(children):
-        cont()
-        return
-    first = children[i]
-
-    def rest() -> None:
-        _match_children(children, i + 1, node, state, cont)
-
-    for child in _candidates(first, node, state):
-        _match_node(first, child, state, rest)
-
-
-def _delta_candidates(plan_node: PlanNode, node: Node, state: _ExecState,
-                      need_new: bool) -> Sequence[Node]:
-    spec = plan_node.spec
-    if isinstance(spec, _CONST_MARKINGS):
-        if plan_node.probe is not None:
-            q_marking, operand = plan_node.probe
-            value = (operand if isinstance(operand, Value)
-                     else state.binding.get(operand))
-            if value is not None:
-                probed = tree_index.probe_bucket(node, spec, q_marking, value)
-                if need_new:
-                    return [c for c in probed if c.version > state.cutoff]
-                return probed
-        bucket = tree_index.child_bucket(node, spec)
-        if need_new:
-            return state.new_children(node, bucket, spec)
-        return bucket
-    if need_new:
-        return state.new_children(node, node.children, None)
-    return node.children
-
-
-def _match_node_delta(plan_node: PlanNode, node: Node, state: _ExecState,
-                      need_new: bool,
-                      cont: Callable[[bool], None]) -> None:
-    """Delta analogue; ``cont`` receives whether the subtree's embedding
-    (liberally) touched post-cutoff data.  See the module docstring for
-    why liberal reporting on constant shortcuts is sound."""
-    if need_new and node.version <= state.cutoff:
-        return
-    spec = plan_node.spec
-    if plan_node.const_tree is not None:
-        perf.stats.const_subpattern_tests += 1
-        if is_subsumed(plan_node.const_tree, node):
-            cont(node.version > state.cutoff)
-        return
-    if isinstance(spec, RegexSpec):
-        for end in _regex_end_nodes(spec, node):
-            end_new = end.uid > state.cutoff
-            _match_children_delta(plan_node.children, 0, end, state,
-                                  need_new and not end_new, end_new, cont)
-        return
-    if isinstance(spec, TreeVar):
-        if state.bind(spec, node):
-            cont(node.version > state.cutoff)
-            state.undo_to(len(state.trail) - 1)
-        return
-    if isinstance(spec, _NODE_VARS):
-        if not spec.admits(node.marking):
-            return
-        self_new = node.uid > state.cutoff
-        bound = state.binding.get(spec)
-        if bound is not None:
-            if bound == node.marking:
-                _match_children_delta(plan_node.children, 0, node, state,
-                                      need_new and not self_new, self_new,
-                                      cont)
-        elif state.bind(spec, node.marking):
-            _match_children_delta(plan_node.children, 0, node, state,
-                                  need_new and not self_new, self_new, cont)
-            state.undo_to(len(state.trail) - 1)
-        return
-    if spec == node.marking:
-        self_new = node.uid > state.cutoff
-        _match_children_delta(plan_node.children, 0, node, state,
-                              need_new and not self_new, self_new, cont)
-
-
-def _match_children_delta(children: List[PlanNode], i: int, node: Node,
-                          state: _ExecState, need_new: bool, have_new: bool,
-                          cont: Callable[[bool], None]) -> None:
-    if i == len(children):
-        if not need_new:
-            cont(have_new)
-        return
-    first = children[i]
-    # Only the last remaining sibling inherits a hard newness obligation —
-    # the in-pattern ``Δ⋈full + full⋈Δ`` split of the naive delta matcher,
-    # preserved under the planned sibling order.
-    first_need = need_new and i == len(children) - 1
-
-    def rest(sub_new: bool) -> None:
-        new_now = have_new or sub_new
-        _match_children_delta(children, i + 1, node, state,
-                              need_new and not new_now, new_now, cont)
-
-    for child in _delta_candidates(first, node, state, first_need):
-        _match_node_delta(first, child, state, first_need, rest)
-
-
-# ----------------------------------------------------------------------
-# Closure lowering (perf.flags.closure_compile).
+# Closure lowering.
 #
-# Each plan node becomes one specialized closure with the same contract
-# as _match_node / _match_node_delta, but with every per-call decision
-# the interpreter re-derives — the spec's kind, the candidate access
-# path, the admits() class, the sibling continuation — resolved once at
-# lowering time.  The interpreter above stays byte-for-byte untouched as
-# the oracle.
+# Each plan node becomes one specialized closure.  Every per-call decision
+# — the spec's kind, the candidate access path, the admits() class, the
+# sibling continuation — is resolved once at lowering time.
+#
+# A full matcher is ``(node, state, cont)``: it calls ``cont()`` once per
+# binding extension embedding the plan node at ``node``, with the
+# extension installed in ``state.binding``, and returns with the trail as
+# it found it.  A delta matcher is ``(node, state, need_new, cont)``: with
+# ``need_new`` the embedding must touch post-cutoff data, and ``cont``
+# receives whether it (liberally) did; see the module docstring.
 # ----------------------------------------------------------------------
 
 _ADMITS = {LabelVar: Label, FunVar: FunName, ValueVar: Value}
@@ -909,8 +731,7 @@ def _compile_candidates_delta(plan_node: PlanNode):
 
 def _compile_delta(plan_node: PlanNode, ineq_vars: frozenset):
     """Lower one plan node to a ``(node, state, need_new, cont)`` closure;
-    ``cont`` receives the (liberal) subtree-newness flag, exactly as
-    ``_match_node_delta``."""
+    ``cont`` receives the (liberal) subtree-newness flag."""
     spec = plan_node.spec
     const_tree = plan_node.const_tree
     if const_tree is not None:
@@ -1060,7 +881,9 @@ def _compile_children_delta(children: List[PlanNode], ineq_vars: frozenset):
 
     def step(node, state, need_new, have_new, cont):
         # Only the last remaining sibling inherits a hard newness
-        # obligation — the Δ⋈full split, exactly as the interpreter.
+        # obligation: earlier siblings may match old data as long as a
+        # later one reaches new data — the semi-naive ``Δ⋈full +
+        # full⋈Δ`` split, applied inside one pattern.
         first_need = need_new and is_last
 
         def rest(sub_new):
@@ -1080,8 +903,7 @@ def compile_query(query: PositiveQuery) -> QueryPlan:
     """The (cached) compiled plan of ``query``.
 
     Plans are immutable and depend only on the rule text, so one plan per
-    query object lives for the process; the switchboard flag is consulted
-    at dispatch time, not here.
+    query object lives for the process.
     """
     plan = getattr(query, "_compiled_plan", None)
     if plan is None:
@@ -1104,8 +926,6 @@ def warm_system(system) -> None:
     run pays no compile latency and ``plan_compiled`` events land before
     the run's first attempt.
     """
-    if not perf.flags.query_planner:
-        return
     for service in system.services.values():
         for query in getattr(service, "queries", []):
             compile_query(query)

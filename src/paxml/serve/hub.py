@@ -30,6 +30,12 @@ from ..query.rule import PositiveQuery
 from ..tree.node import Node
 
 
+# Subscription ids are unique within the process, not per tenant: one
+# connection may carry subscriptions of several tenants, and the server
+# keys its per-connection subscriptions and push pumps by id.
+_SUB_IDS = itertools.count(1)
+
+
 class SubscriptionError(ValueError):
     """The query cannot be served as a subscription."""
 
@@ -95,7 +101,6 @@ class SubscriptionHub:
         self._events: Dict[str, asyncio.Event] = {}
         self._subs: Dict[int, Subscription] = {}
         self._refcount: Dict[str, int] = {}
-        self._ids = itertools.count(1)
         # Fired whenever the *set* of registered queries changes (first
         # subscriber to a query, or last one gone).  A lazy session hooks
         # this to reseed its relevance tracker — the tenant's continuous
@@ -129,7 +134,7 @@ class SubscriptionHub:
             self._logs[key] = log
             self._refcount[key] = 0
         log.refresh(environment)
-        sub = Subscription(self, key, next(self._ids), list(log.answers))
+        sub = Subscription(self, key, next(_SUB_IDS), list(log.answers))
         self._subs[sub.sub_id] = sub
         self._refcount[key] += 1
         if self._refcount[key] == 1 and self.on_registry_change is not None:

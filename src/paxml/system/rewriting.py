@@ -91,8 +91,7 @@ class RewritingEngine:
             kernel.scheduler.promote_front = True
         self.kernel = kernel
         # Relevance-guided laziness: the goal set is the queries this run
-        # is meant to answer; sites unneeded for them go dormant.  Both
-        # are kernel no-ops when perf.flags.lazy_scheduling is off.
+        # is meant to answer; sites unneeded for them go dormant.
         if lazy_for is not None:
             kernel.enable_lazy(lazy_for)
         if fire_once:

@@ -295,51 +295,72 @@ def test_external_graft_revives_retired_sites():
 
 
 # ----------------------------------------------------------------------
-# flag gating: perf.flags.lazy_scheduling off == eager, verbatim
+# opt-in: without lazy_for / fire_once a run is eager, verbatim
 # ----------------------------------------------------------------------
 
 
-def test_flag_off_runs_eager_even_with_lazy_for():
-    perf.flags.lazy_scheduling = False
-    try:
+def test_run_without_lazy_for_is_eager_verbatim():
+    """The same system run with and without ``lazy_for``/``fire_once``:
+    without them nothing is dormant or retired and the run terminates at
+    ``[I]``; with them it stabilizes earlier on the same answer."""
+    from paxml.kernel import RunStatus
+
+    query = parse_query(RATING_QUERY)
+
+    def build():
+        return portal_system(6, materialized_fraction=0.3, n_irrelevant=4,
+                             seed=2)
+
+    eager = build()
+    engine = RewritingEngine(eager)
+    eager_result = engine.run()
+    assert eager_result.status is RunStatus.TERMINATED
+    assert engine.kernel.relevance_tracker is None
+    assert not engine.kernel.fire_once
+    assert engine.kernel.scheduler.dormant_count() == 0
+    assert engine.kernel.scheduler.retired_count() == 0
+    assert materialize(build()).steps == eager_result.steps
+
+    lazy = build()
+    result = materialize(lazy, lazy_for=[query], fire_once=True)
+    assert result.status is RunStatus.STABILIZED
+    assert result.steps < eager_result.steps
+    assert answer_keys(query, lazy) == answer_keys(query, eager)
+
+
+def test_resume_of_eager_bundle_wakes_everything(tmp_path):
+    """Bundles cut from the same system with and without ``lazy_for``:
+    the eager one resumes with no dormant site and terminates at ``[I]``;
+    the lazy one resumes lazy and stabilizes on the same answer."""
+    from paxml.kernel import RunStatus
+
+    query = parse_query(RATING_QUERY)
+
+    def cut(name, **lazy):
         system = portal_system(6, materialized_fraction=0.3,
-                               n_irrelevant=4, seed=2)
-        result = materialize(system, lazy_for=[parse_query(RATING_QUERY)],
-                             fire_once=True)
-        from paxml.kernel import RunStatus
-        assert result.status is RunStatus.TERMINATED
+                               n_irrelevant=4, seed=3)
+        engine = RewritingEngine(system, **lazy)
+        engine.run(max_steps=2)
+        bundle = str(tmp_path / name)
+        engine.checkpoint(bundle)
+        return engine, resume(bundle)
 
-        eager = portal_system(6, materialized_fraction=0.3,
-                              n_irrelevant=4, seed=2)
-        assert materialize(eager).steps == result.steps
-        assert system.equivalent_to(eager)
-    finally:
-        perf.flags.lazy_scheduling = True
+    lazy_engine, lazy_resumed = cut("lazy.ckpt", lazy_for=[query])
+    assert lazy_engine.kernel.scheduler.dormant_count() > 0
+    assert lazy_resumed.kernel.scheduler.dormant_count() == \
+        lazy_engine.kernel.scheduler.dormant_count()
+    eager_engine, eager_resumed = cut("eager.ckpt")
+    assert eager_engine.kernel.scheduler.dormant_count() == 0
+    assert eager_resumed.kernel.scheduler.dormant_count() == 0
 
-
-def test_resume_of_lazy_bundle_with_flag_off_wakes_everything(tmp_path):
-    system = portal_system(6, materialized_fraction=0.3, n_irrelevant=4,
-                           seed=3)
-    engine = RewritingEngine(system,
-                             lazy_for=[parse_query(RATING_QUERY)])
-    engine.run(max_steps=2)
-    assert engine.kernel.scheduler.dormant_count() > 0
-    bundle = str(tmp_path / "flagoff.ckpt")
-    engine.checkpoint(bundle)
-
-    perf.flags.lazy_scheduling = False
-    try:
-        resumed = resume(bundle)
-        assert resumed.kernel.scheduler.dormant_count() == 0
-        result = resumed.run()
-        from paxml.kernel import RunStatus
-        assert result.status is RunStatus.TERMINATED
-    finally:
-        perf.flags.lazy_scheduling = True
+    assert eager_resumed.run().status is RunStatus.TERMINATED
+    assert lazy_resumed.run().status is RunStatus.STABILIZED
     eager = portal_system(6, materialized_fraction=0.3, n_irrelevant=4,
                           seed=3)
     materialize(eager)
-    assert resumed.system.equivalent_to(eager)
+    assert eager_resumed.system.equivalent_to(eager)
+    assert answer_keys(query, lazy_resumed.system) == \
+        answer_keys(query, eager)
 
 
 # ----------------------------------------------------------------------

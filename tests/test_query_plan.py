@@ -1,12 +1,15 @@
-"""The compiled query planner against the naive matcher as oracle.
+"""The compiled query planner against the spec oracle.
 
-The naive backtracking join of :mod:`paxml.query.matching` is retained
-precisely to serve as the oracle here: on randomized systems and
-documents the planned evaluation (selectivity-ordered siblings, constant
-subpattern hash-consing, indexed candidates, undo-log bindings, pushed
-inequalities) must produce the same *reduced forests* for full and delta
-evaluation — directly, through whole-system materialization, and through
-the concurrent runtime under fault injection.
+The spec oracle :func:`paxml.query.matching.spec_snapshot` (the naive
+backtracking join, recomputed from scratch) is retained precisely to
+serve as the reference here: on randomized systems and documents the
+planned evaluation (selectivity-ordered siblings, constant subpattern
+hash-consing, indexed candidates, undo-log bindings, pushed inequalities)
+must produce the same *reduced forests* for full and delta evaluation —
+directly, through whole-system materialization, and through the
+concurrent runtime under fault injection.  Whole-system references come
+from runs with ``perf.flags.incremental_matching`` off, where every
+call-site evaluation goes through the spec oracle.
 
 Reduced forests (not raw assignment lists) are the right equality: the
 planner may enumerate embeddings in a different order and through index
@@ -16,13 +19,19 @@ under forest reduction — the paper's notion of "same answer".
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import pytest
 
 from paxml import perf
 from paxml.cli import main as cli_main
 from paxml.query import compile_query, describe_plan, parse_query
 from paxml.query.incremental import IncrementalQueryEvaluator
-from paxml.query.matching import enumerate_assignments, evaluate_snapshot
+from paxml.query.matching import (
+    enumerate_assignments,
+    evaluate_snapshot,
+    spec_snapshot,
+)
 from paxml.query.pattern import RegexSpec, pattern_to_text
 from paxml.query.plan import _selectivity_rank
 from paxml.query.variables import TreeVar, ValueVar
@@ -65,20 +74,22 @@ def _restore_perf_flags():
     perf.stats.reset()
 
 
-def _planner_mode(on: bool) -> None:
+def _oracle_mode(on: bool) -> None:
+    """Spec-oracle runs (``incremental_matching`` off) or the default."""
     perf.flags.set_all(True)
-    perf.flags.query_planner = on
-    perf.flags.child_index = on
+    perf.flags.incremental_matching = not on
     perf.clear_caches()
     perf.stats.reset()
 
 
-def _reduced(query, documents) -> Forest:
-    return evaluate_snapshot(query, documents)
+def _both(query, documents) -> Tuple[Forest, Forest]:
+    """(spec oracle, planned) snapshot results on the same documents."""
+    _oracle_mode(False)
+    return spec_snapshot(query, documents), evaluate_snapshot(query, documents)
 
 
 # ----------------------------------------------------------------------
-# property: planned ≡ naive, full evaluation
+# property: planned ≡ spec oracle, full evaluation
 # ----------------------------------------------------------------------
 
 QUERIES = [
@@ -99,53 +110,46 @@ def test_planned_equals_naive_on_random_relations(rule, seed):
         document.add_child(random_tree(5 + extra, seed=seed * 7 + extra))
     documents = {"d": document}
 
-    _planner_mode(False)
-    naive = _reduced(query, documents)
-    _planner_mode(True)
-    planned = _reduced(query, documents)
-    assert planned.equivalent_to(naive)
+    spec, planned = _both(query, documents)
+    assert planned.equivalent_to(spec)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_planned_equals_naive_on_random_trees(seed):
     query = parse_query("out{@l{$v}} :- d/@r{@l{$v}}")
     documents = {"d": random_tree(30 + seed * 5, seed=seed, label_pool=3)}
-    _planner_mode(False)
-    naive = _reduced(query, documents)
-    _planner_mode(True)
-    planned = _reduced(query, documents)
-    assert planned.equivalent_to(naive)
+    spec, planned = _both(query, documents)
+    assert planned.equivalent_to(spec)
 
 
 # ----------------------------------------------------------------------
-# property: planned ≡ naive, delta evaluation over growing documents
+# property: planned deltas ≡ spec oracle over growing documents
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_planned_delta_equals_naive_delta(seed):
+    """After every batch the reduced union of all deltas delivered so far
+    equals the spec oracle's from-scratch result on the current document."""
     edges = random_edges(6, 24 + seed, seed=seed)
     query = parse_query(JOIN2)
-
-    def run(planner: bool):
-        _planner_mode(planner)
-        document = relation_tree(edges[:12])
-        evaluator = IncrementalQueryEvaluator(query)
-        accumulated = []
-        for batch in range(4):
-            for a, b in edges[12 + batch * 3:12 + (batch + 1) * 3]:
-                document.add_child(
-                    label("t", label("c0", val(a)), label("c1", val(b))))
-            accumulated.extend(
-                evaluator.evaluate_delta({"d": document}, site="site"))
-        return reduce_forest(accumulated)
-
-    naive, planned = run(False), run(True)
-    assert Forest(planned).equivalent_to(Forest(naive))
+    _oracle_mode(False)
+    document = relation_tree(edges[:12])
+    evaluator = IncrementalQueryEvaluator(query)
+    accumulated = []
+    for batch in range(4):
+        for a, b in edges[12 + batch * 3:12 + (batch + 1) * 3]:
+            document.add_child(
+                label("t", label("c0", val(a)), label("c1", val(b))))
+        accumulated.extend(
+            evaluator.evaluate_delta({"d": document}, site="site"))
+        expected = spec_snapshot(query, {"d": document})
+        assert Forest(reduce_forest(accumulated)).equivalent_to(expected)
+    assert perf.stats.delta_evaluations == 3
 
 
 # ----------------------------------------------------------------------
-# property: planned ≡ naive through whole-system materialization
+# property: planned ≡ spec oracle through whole-system materialization
 # ----------------------------------------------------------------------
 
 SYSTEM_CASES = (
@@ -167,14 +171,14 @@ def _build_system(family: str, seed: int):
 @pytest.mark.parametrize("case", SYSTEM_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
 def test_materialized_limits_agree(case):
     family, seed = case
-    _planner_mode(False)
-    naive_system = _build_system(family, seed)
-    assert materialize(naive_system).terminated
+    _oracle_mode(True)
+    spec_system = _build_system(family, seed)
+    assert materialize(spec_system).terminated
 
-    _planner_mode(True)
+    _oracle_mode(False)
     planned_system = _build_system(family, seed)
     assert materialize(planned_system).terminated
-    assert planned_system.equivalent_to(naive_system)
+    assert planned_system.equivalent_to(spec_system)
 
 
 FAULT_CASES = [("acyclic", 3), ("tc", 2), ("tc", 5), ("portal", 1)]
@@ -182,13 +186,13 @@ FAULT_CASES = [("acyclic", 3), ("tc", 2), ("tc", 5), ("portal", 1)]
 
 @pytest.mark.parametrize("case", FAULT_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
 def test_planned_limit_survives_fault_injection(case):
-    """The runtime oracle: planner on + injected faults ≡ naive sequential."""
+    """The runtime oracle: planner + injected faults ≡ spec sequential."""
     family, seed = case
-    _planner_mode(False)
-    naive_system = _build_system(family, seed)
-    assert materialize(naive_system).terminated
+    _oracle_mode(True)
+    spec_system = _build_system(family, seed)
+    assert materialize(spec_system).terminated
 
-    _planner_mode(True)
+    _oracle_mode(False)
     planned_system = _build_system(family, seed)
     injector = FaultInjector(seed=seed, drop_rate=0.15, error_rate=0.2,
                              delay_rate=0.15, duplicate_rate=0.15,
@@ -200,7 +204,7 @@ def test_planned_limit_survives_fault_injection(case):
                           injector=injector).run()
     assert result.status is RuntimeStatus.TERMINATED
     assert not result.failures
-    assert planned_system.equivalent_to(naive_system)
+    assert planned_system.equivalent_to(spec_system)
 
 
 # ----------------------------------------------------------------------
@@ -234,11 +238,8 @@ def test_constant_sibling_dedup_keeps_the_antichain():
     assert pattern_to_text(consts[0].to_pattern()) == "a{b{c}}"
     # Dropping dominated conjuncts must not change answers.
     document = parse_tree('r{a{b{c}}, q{"1"}}')
-    _planner_mode(True)
-    planned = _reduced(query, {"d": document})
-    _planner_mode(False)
-    naive = _reduced(query, {"d": document})
-    assert planned.equivalent_to(naive)
+    spec, planned = _both(query, {"d": document})
+    assert planned.equivalent_to(spec)
     assert len(planned) == 1
 
 
@@ -252,25 +253,22 @@ def test_inequalities_compiled_to_binding_sites():
     assert set(by_var["$y"]) == {"$x", '"3"'}
     assert "$z" not in by_var
     document = parse_tree('r{a{"1"}, a{"2"}, b{"1"}, b{"3"}, c{"9"}}')
-    _planner_mode(True)
-    planned = _reduced(query, {"d": document})
-    _planner_mode(False)
-    naive = _reduced(query, {"d": document})
-    assert planned.equivalent_to(naive)
+    spec, planned = _both(query, {"d": document})
+    assert planned.equivalent_to(spec)
 
 
 def test_always_false_inequality_short_circuits():
     query = parse_query('h{x} :- d/r{a}, "1" != "1"')
     assert compile_query(query).always_false
-    _planner_mode(True)
+    _oracle_mode(False)
     assert enumerate_assignments(query, {"d": parse_tree("r{a}")}) == []
 
 
 def test_join2_uses_the_value_probe():
     query = parse_query(JOIN2)
     document = relation_tree(chain_edges(8))
-    _planner_mode(True)
-    planned = _reduced(query, {"d": document})
+    _oracle_mode(False)
+    planned = evaluate_snapshot(query, {"d": document})
     assert perf.stats.probe_lookups > 0
     assert len(planned) == 7  # chain of 8 edges has 7 length-2 paths
 
@@ -281,7 +279,7 @@ def test_join2_uses_the_value_probe():
 
 
 def test_child_buckets_follow_appends():
-    _planner_mode(True)
+    _oracle_mode(False)
     tree = parse_tree("r{a, a, b}")
     assert len(child_bucket(tree, Label("a"))) == 2
     tree.add_child(label("a"))
@@ -293,7 +291,7 @@ def test_probe_bucket_matches_linear_scan():
     for seed in range(6):
         tree = relation_tree(random_edges(4, 12, seed=seed))
         tree.add_child(random_tree(8, seed=seed))
-        _planner_mode(True)
+        _oracle_mode(False)
         for value in {leaf.marking for node in tree.iter_nodes()
                       for leaf in node.children
                       if isinstance(leaf.marking, Value)}:
@@ -303,7 +301,7 @@ def test_probe_bucket_matches_linear_scan():
 
 
 def test_graft_path_patches_the_index_in_place():
-    _planner_mode(True)
+    _oracle_mode(False)
     system = tc_system(chain_edges(4))
     document = system.documents["d1"]
     # Warm the parent's bucket entry, then graft through the real path.
@@ -320,7 +318,7 @@ def test_graft_path_patches_the_index_in_place():
 
 
 def test_marking_set_reject_is_sound_for_non_injective_simulations():
-    _planner_mode(True)
+    _oracle_mode(False)
     # a{b, b, b} ⊑ a{b}: counts must not matter, only marking presence.
     assert is_subsumed(parse_tree("a{b, b, b}"), parse_tree("a{b}"))
     assert marking_set(parse_tree("a{b{c}}")) == {
@@ -340,19 +338,21 @@ def test_marking_set_reject_is_sound_for_non_injective_simulations():
 
 
 # ----------------------------------------------------------------------
-# switchboard fallback and CLI
+# oracle mode and CLI
 # ----------------------------------------------------------------------
 
 
 def test_flag_off_routes_through_the_naive_matcher():
-    query = parse_query(JOIN2)
-    documents = {"d": relation_tree(chain_edges(5))}
-    _planner_mode(False)
-    enumerate_assignments(query, documents)
-    assert perf.stats.planned_evaluations == 0
-    _planner_mode(True)
-    enumerate_assignments(query, documents)
-    assert perf.stats.planned_evaluations == 1
+    """An oracle-mode materialization executes no plan at all."""
+    for family in ("acyclic", "tc", "portal"):
+        _oracle_mode(True)
+        assert materialize(_build_system(family, 1)).terminated
+        assert perf.stats.full_evaluations > 0
+        assert perf.stats.planned_evaluations == 0
+        assert perf.stats.planned_delta_evaluations == 0
+        _oracle_mode(False)
+        assert materialize(_build_system(family, 1)).terminated
+        assert perf.stats.planned_evaluations > 0
 
 
 def test_describe_plan_mentions_order_and_probe():

@@ -92,6 +92,66 @@ def test_subscription_pushes_over_tcp():
     run_scenario(scenario)
 
 
+def test_two_tenants_subscribed_on_one_connection():
+    """Subscription ids stay distinct across tenants: each stream gets
+    only its tenant's deltas, unsubscribing one leaves the other
+    flowing, and closing the connection ends both pumps."""
+    pairs = "pair{c0{$x}, c1{$y}} :- d1/r{t{c0{$x}, c1{$y}}}"
+    beta_system = TC_SYSTEM.replace("1}", "7}").replace(
+        "2}", "8}").replace("3}", "9}")
+    expected = {
+        "alpha": {"pair{c0{1}, c1{2}}", "pair{c0{2}, c1{3}}",
+                  "pair{c0{1}, c1{3}}"},
+        "beta": {"pair{c0{7}, c1{8}}", "pair{c0{8}, c1{9}}",
+                 "pair{c0{7}, c1{9}}"},
+    }
+
+    def live_pumps():
+        return [task for task in asyncio.all_tasks()
+                if not task.done() and task.get_coro().__qualname__
+                == "_Connection._pump"]
+
+    async def collect(client, sub, seen, want):
+        while not want <= seen:
+            batch = await client.next_delta(sub["sub"], timeout=10.0)
+            assert batch is not None, f"stream stalled at {sorted(seen)}"
+            seen |= set(batch)
+        return seen
+
+    async def scenario(server, client):
+        await client.create("alpha", TC_SYSTEM)
+        await client.create("beta", beta_system)
+        shared = await ServeClient.connect("127.0.0.1", server.port)
+        subs = {name: await shared.subscribe(name, pairs)
+                for name in ("alpha", "beta")}
+        assert subs["alpha"]["sub"] != subs["beta"]["sub"]
+        await client.run("alpha", timeout=30.0)
+        await client.run("beta", timeout=30.0)
+        for name, sub in subs.items():
+            seen = await collect(shared, sub, set(sub["initial"]),
+                                 expected[name])
+            assert seen == expected[name], f"{name} got foreign deltas"
+        assert len(live_pumps()) == 2
+
+        await shared.unsubscribe(subs["alpha"]["sub"])
+        await client.inject("beta", "d0", "t{c0{9}, c1{10}}")
+        await client.run("beta", timeout=30.0)
+        await collect(shared, subs["beta"], set(), {"pair{c0{9}, c1{10}}"})
+        assert len(live_pumps()) == 1
+
+        second = await shared.subscribe("alpha", pairs)
+        assert len(live_pumps()) == 2
+        await shared.close()
+        for _ in range(200):
+            if not live_pumps():
+                break
+            await asyncio.sleep(0.01)
+        assert not live_pumps()
+        for name, sub in (("alpha", second), ("beta", subs["beta"])):
+            assert server.sessions[name].hub.get(sub["sub"]) is None
+    run_scenario(scenario)
+
+
 def test_errors_keep_the_connection_usable():
     async def scenario(server, client):
         with pytest.raises(ServeError, match="unknown tenant"):

@@ -99,7 +99,7 @@ class TestStampClock:
 class TestFlagsSnapshotApply:
     def test_roundtrip(self):
         snapshot = perf.flags.snapshot()
-        perf.flags.query_planner = not snapshot["query_planner"]
+        perf.flags.graft_log = not snapshot["graft_log"]
         perf.flags.apply(snapshot)
         assert perf.flags.snapshot() == snapshot
 
@@ -109,9 +109,9 @@ class TestFlagsSnapshotApply:
 
     def test_env_disabled_flags_stay_off(self, monkeypatch):
         monkeypatch.setattr(perf, "_ENV_DISABLED",
-                            frozenset({"query_planner"}))
-        perf.flags.apply({"query_planner": True})
-        assert perf.flags.query_planner is False
+                            frozenset({"graft_log"}))
+        perf.flags.apply({"graft_log": True})
+        assert perf.flags.graft_log is False
 
 
 class TestBootstrapInProcess:
@@ -119,12 +119,12 @@ class TestBootstrapInProcess:
         perf.stats.subsumption_hits += 41
         obs_bus.enable()
         effective = bootstrap_worker(1, 2,
-                                     {"query_planner": False,
-                                      "closure_compile": False})
+                                     {"graft_log": False,
+                                      "canonical_key_cache": False})
         assert perf.stats.subsumption_hits == 0
         assert not obs_bus.ACTIVE
-        assert effective["query_planner"] is False
-        assert effective["closure_compile"] is False
+        assert effective["graft_log"] is False
+        assert effective["canonical_key_cache"] is False
         assert stamp_clock_config() == (1, 2)
 
     def test_obs_active_reenables_bus(self):
@@ -153,12 +153,12 @@ def test_forked_worker_uses_explicit_config_not_parent_globals():
         pytest.skip("no fork on this platform")
     # Pollute the parent: flags flipped, stats nonzero, bus enabled —
     # everything a forked child would wrongly inherit.
-    perf.flags.query_planner = False
+    perf.flags.graft_log = False
     perf.flags.subsumption_cache = False
     perf.stats.subsumption_hits = 999
     obs_bus.enable()
-    explicit = dict(perf.flags.snapshot(), query_planner=True,
-                    subsumption_cache=True, closure_compile=False)
+    explicit = dict(perf.flags.snapshot(), graft_log=True,
+                    subsumption_cache=True, canonical_key_cache=False)
 
     ctx = multiprocessing.get_context("fork")
     parent_conn, child_conn = ctx.Pipe()
@@ -168,9 +168,9 @@ def test_forked_worker_uses_explicit_config_not_parent_globals():
     report = parent_conn.recv()
     process.join(timeout=30)
 
-    assert report["flags"]["query_planner"] is True
+    assert report["flags"]["graft_log"] is True
     assert report["flags"]["subsumption_cache"] is True
-    assert report["flags"]["closure_compile"] is False
+    assert report["flags"]["canonical_key_cache"] is False
     assert report["subsumption_hits"] == 0
     assert report["bus_active"] is False
     assert report["stamp"] % 4 == 1
@@ -191,7 +191,7 @@ print(json.dumps({"flags": effective, "stamp": next_stamp()}))
 def test_spawned_worker_applies_explicit_config_over_defaults():
     # A fresh interpreter (what the spawn start method gives a worker)
     # boots with compiled-in defaults; the explicit snapshot must win.
-    explicit = dict(perf.flags.snapshot(), query_planner=False,
+    explicit = dict(perf.flags.snapshot(), graft_log=False,
                     child_index=False)
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -199,6 +199,6 @@ def test_spawned_worker_applies_explicit_config_over_defaults():
         [sys.executable, "-c", _SPAWN_SCRIPT, json.dumps(explicit)],
         capture_output=True, text=True, env=env, timeout=60, check=True)
     report = json.loads(out.stdout)
-    assert report["flags"]["query_planner"] is False
+    assert report["flags"]["graft_log"] is False
     assert report["flags"]["child_index"] is False
     assert report["stamp"] % 4 == 3

@@ -209,19 +209,17 @@ def test_fault_injected_run_keeps_store_consistent(seed):
 
 
 def test_flag_matrix_reaches_the_same_fixpoint():
-    """(columnar_store × closure_compile) ∈ {0,1}²: identical fixpoints."""
+    """columnar_store ∈ {0,1}: identical fixpoints."""
     fixpoints = []
     for columnar in (False, True):
-        for closures in (False, True):
-            perf.flags.set_all(True)
-            perf.flags.columnar_store = columnar
-            perf.flags.closure_compile = closures
-            perf.clear_caches()
-            system = portal_system(5, materialized_fraction=0.4, seed=11)
-            outcome = materialize(system)
-            assert outcome.terminated
-            fixpoints.append(_doc_keys(system))
-    assert all(fp == fixpoints[0] for fp in fixpoints[1:])
+        perf.flags.set_all(True)
+        perf.flags.columnar_store = columnar
+        perf.clear_caches()
+        system = portal_system(5, materialized_fraction=0.4, seed=11)
+        outcome = materialize(system)
+        assert outcome.terminated
+        fixpoints.append(_doc_keys(system))
+    assert fixpoints[1] == fixpoints[0]
 
 
 # ----------------------------------------------------------------------
@@ -399,9 +397,6 @@ def test_const_subpattern_fast_path_fires():
     query = parse_query("p{c0{$x}, c1{$y}} :- "
                         "d/r{t{c0{$x}, c1{$z}}, t{c0{$z}, c1{$y}}}")
     root = relation_tree(chain_edges(6))
-    # the runtime-const path lives in the lowered closures (the plan
-    # interpreter is the PR 4 oracle and deliberately lacks it)
-    perf.flags.closure_compile = True
     perf.stats.reset()
     forest = evaluate_snapshot(query, {"d": root})
     assert len(list(forest)) > 0
@@ -412,9 +407,9 @@ def test_pr6_counters_reach_the_metrics_registry():
     """store/bitset/closure counters must flow through paxml.obs.metrics
     (the paxml_perf pull collector) without any extra wiring."""
     # explicit (not via set_all): this test is about the PR 6 paths even
-    # when the CI flag-matrix job disables them by default
+    # when PAXML_DISABLE_FLAGS disables them by default
     perf.flags.columnar_store = True
-    perf.flags.closure_compile = True
+    perf.flags.incremental_matching = True
     system = tc_system(chain_edges(4))
     perf.stats.reset()
     assert materialize(system).terminated
