@@ -421,13 +421,11 @@ def _print_plan_stats(system, environment, rules) -> None:
     for counter in ("plan_compilations", "closure_compilations",
                     "const_subpattern_tests", "bitset_rejects",
                     "subsumption_early_rejects", "store_rebuild_patches",
-                    "store_graft_patches", "facade_materializations"):
+                    "store_graft_patches"):
         print(f"  {counter}: {snapshot.get(counter, 0)}")
-    if perf.flags.columnar_store:
-        sizes = tree_store.store_sizes()
-        print(f"  store rows: {sizes['rows']}  "
-              f"interned markings: {sizes['interned_markings']}  "
-              f"child pool: {sizes['child_pool']}")
+    sizes = tree_store.store_sizes()
+    print(f"  store rows: {sizes['rows']}  "
+          f"interned markings: {sizes['interned_markings']}")
 
 
 def cmd_explain(args) -> int:
@@ -871,7 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", action="store_true",
                    help="evaluate each planned rule once against the system "
                         "and print the engine counters (bitset rejects, "
-                        "closure lowerings, store shape) it exercised")
+                        "closure lowerings, store size) it exercised")
     p.set_defaults(fn=cmd_plan)
 
     p = sub.add_parser("translate", help="apply the ψ translation")

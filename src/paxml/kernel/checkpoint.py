@@ -206,14 +206,7 @@ def replay_documents(bundle: CheckpointBundle, *,
             "only the direct document snapshot can be restored")
     if advance:
         _advance_clock(bundle)
-    documents = {name: Document(name, from_wire(wire))
-                 for name, wire in bundle.seeds.items()}
-    by_uid: Dict[str, Dict[int, Node]] = {
-        name: {node.uid: node for node in doc.root.iter_nodes()}
-        for name, doc in documents.items()}
-    for record in bundle.grafts:
-        apply_graft_record(documents, by_uid, record)
-    return documents
+    return replay_prefix(bundle.seeds, bundle.grafts)
 
 
 def apply_graft_record(documents: Dict[str, Document],
@@ -256,31 +249,22 @@ def apply_graft_record(documents: Dict[str, Document],
 
 def replay_prefix(seeds: Dict[str, dict],
                   grafts: List[GraftRecord]) -> Dict[str, Document]:
-    """Point-in-time reconstruction: seed wires + a graft-log prefix.
+    """Seed wires + a graft-log prefix: the documents as they were after
+    exactly ``len(grafts)`` productive grafts.
 
-    The serve layer's historical reads: the state a document had after
-    exactly ``len(grafts)`` productive grafts.  The replayed trees are
-    throwaway read-only copies living alongside the live run, so the
-    columnar store and child index are bypassed for the duration — their
-    rows are keyed by node uid, and warming the replayed copies (which
-    reuse the live uids) would stale-out the live rows for nothing.
+    Serves point-in-time reads, replay validation and replay resumes.
+    The copies reuse the live uids and share the caches with the live
+    run: every cache entry is validated by ``(uid, version)``, and the
+    ones holding nodes also by identity.
     """
-    saved_store = perf.flags.columnar_store
-    saved_index = perf.flags.child_index
-    perf.flags.columnar_store = False
-    perf.flags.child_index = False
-    try:
-        documents = {name: Document(name, from_wire(wire))
-                     for name, wire in seeds.items()}
-        by_uid: Dict[str, Dict[int, Node]] = {
-            name: {node.uid: node for node in doc.root.iter_nodes()}
-            for name, doc in documents.items()}
-        for record in grafts:
-            apply_graft_record(documents, by_uid, record)
-        return documents
-    finally:
-        perf.flags.columnar_store = saved_store
-        perf.flags.child_index = saved_index
+    documents = {name: Document(name, from_wire(wire))
+                 for name, wire in seeds.items()}
+    by_uid: Dict[str, Dict[int, Node]] = {
+        name: {node.uid: node for node in doc.root.iter_nodes()}
+        for name, doc in documents.items()}
+    for record in grafts:
+        apply_graft_record(documents, by_uid, record)
+    return documents
 
 
 def _restore_site_states(bundle: CheckpointBundle, system: AXMLSystem,
@@ -412,18 +396,16 @@ def resume(path: str, *, engine: Optional[str] = None,
 
     restored_sites = _restore_site_states(bundle, system, by_uid)
 
-    if perf.flags.columnar_store:
-        # The store is derived state: re-index the restored trees
-        # wholesale rather than persisting rows in the bundle.  Restored
-        # nodes reuse their original (uid, version) stamps, so warming
-        # also retargets any rows left by the checkpointing process onto
-        # the restored copies.
-        for document in system.documents.values():
-            tree_store.warm(document.root)
-        if obs_bus.ACTIVE:
-            sizes = tree_store.store_sizes()
-            obs_bus.emit(obs_events.STORE_WARMED, rows=sizes["rows"],
-                         interned_markings=sizes["interned_markings"])
+    # The store is derived state: index the restored trees wholesale
+    # rather than persisting rows in the bundle.  Restored nodes reuse
+    # their original (uid, version) stamps, so rows the checkpointing
+    # process left behind answer for the restored copies as they are.
+    for document in system.documents.values():
+        tree_store.warm(document.root)
+    if obs_bus.ACTIVE:
+        sizes = tree_store.store_sizes()
+        obs_bus.emit(obs_events.STORE_WARMED, rows=sizes["rows"],
+                     interned_markings=sizes["interned_markings"])
 
     perf.stats.kernel_resumes += 1
     if obs_bus.ACTIVE:

@@ -42,7 +42,6 @@ from ..obs.provenance import graft_record
 from ..system.invocation import find_path, graft_answers, graft_under
 from ..system.system import AXMLSystem
 from ..tree.document import Document, Forest
-from ..tree import store as tree_store
 from ..tree.node import Node, current_stamp
 from ..tree.reduction import canonical_key
 from ..tree.serializer import to_wire
@@ -479,11 +478,6 @@ class EvaluationKernel:
             "lazy_queries": ([str(q) for q in self.lazy_queries]
                              if self.relevance_tracker is not None else None),
             "fire_once": self.fire_once,
-            # Snapshot of the columnar store's shape at checkpoint time.
-            # The store is derived data — resume rebuilds it from the
-            # restored trees — so this is diagnostic, not restored state.
-            "store": (tree_store.store_sizes()
-                      if perf.flags.columnar_store else None),
         }]
         if self.system is not None:
             for name, service in sorted(self.system.services.items()):

@@ -315,7 +315,22 @@ def encode_batch(records: Sequence[GraftRecord]) -> bytes:
 
 
 def decode_batch(data: bytes) -> List[GraftRecord]:
-    """Unpack :func:`encode_batch` output; field-for-field round trip."""
+    """Unpack :func:`encode_batch` output; field-for-field round trip.
+
+    ``data`` must be exactly one batch; any malformation, trailing bytes
+    included, raises :class:`CodecError`.
+    """
+    try:
+        records, pos = _decode_records(data)
+    except (UnicodeDecodeError, IndexError, json.JSONDecodeError,
+            RecursionError) as exc:
+        raise CodecError(f"malformed PXG1 batch: {exc}") from None
+    if pos != len(data):
+        raise CodecError(f"{len(data) - pos} trailing bytes after the batch")
+    return records
+
+
+def _decode_records(data: bytes) -> "tuple[List[GraftRecord], int]":
     if data[:4] != BATCH_MAGIC:
         raise CodecError("not a PXG1 graft batch")
     pos = 4
@@ -355,4 +370,4 @@ def decode_batch(data: bytes) -> List[GraftRecord]:
                                    service=table[service_ref], site=site,
                                    trees=trees, obs=obs, trace=trace,
                                    shard=shard))
-    return records
+    return records, pos

@@ -31,7 +31,7 @@ kind                      payload
 ``plan_lowered``          rule, atoms — the plan was lowered to specialized
                           closures (once per plan, on first execution)
 ``store_warmed``          rows, interned_markings — a document tree was
-                          (re)indexed wholesale into the columnar store
+                          (re)indexed wholesale into the subtree-bits cache
 ``tenant_created``        tenant, documents, services
 ``tenant_suspended``      tenant, bundle, steps, productive
 ``tenant_resumed``        tenant, bundle, steps, productive

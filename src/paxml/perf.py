@@ -31,15 +31,6 @@ import os
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, FrozenSet, List
 
-# Flags named here (comma-separated) stay OFF even through set_all(True):
-# the CI flag-matrix job uses this to run the whole tier-1 suite on the
-# oracle paths without editing every fixture that resets the flags.
-_ENV_DISABLED: FrozenSet[str] = frozenset(
-    name.strip()
-    for name in os.environ.get("PAXML_DISABLE_FLAGS", "").split(",")
-    if name.strip())
-
-
 @dataclass
 class Flags:
     """Enable bits for the incremental subsystems (all on by default)."""
@@ -52,12 +43,6 @@ class Flags:
     # recomputes its whole answer with the naive matcher
     # (paxml.query.matching.spec_snapshot).
     incremental_matching: bool = True
-    child_index: bool = True         # per-parent marking buckets (paxml.tree.index)
-    # Columnar struct-of-arrays node store (paxml.tree.store): flat arrays
-    # keyed by uid for labels/values/parents/children/versions plus packed
-    # subtree marking bitsets; subsumption candidate filtering compares
-    # int bitsets instead of per-node frozensets when this is on.
-    columnar_store: bool = True
     # Graft-log retention (paxml.kernel): with the flag off the kernel
     # appends no GraftRecords (for memory-constrained runs); checkpoints
     # then carry only the fresh document snapshot and cannot be
@@ -145,14 +130,13 @@ class Stats:
     # Shared-forest fast path of ``constant_service``: calls answered by
     # returning the frozen reduced forest without copying or re-reducing.
     constant_calls_shared: int = 0
-    # Columnar-store counters (paxml.tree.store): subtree re-indexes forced
-    # by a stale row (untracked mutation healed at read time), in-place
-    # graft-path patches, candidate pairs rejected by a packed-bitset
-    # subset test, and store rows materialized back into Node facades.
+    # Subtree-bits counters (paxml.tree.store): subtree rebuilds forced by
+    # a missing or stale row (untracked mutations heal at read time),
+    # in-place graft-path patches, and candidate pairs rejected by a
+    # packed-bitset subset test.
     store_rebuild_patches: int = 0
     store_graft_patches: int = 0
     bitset_rejects: int = 0
-    facade_materializations: int = 0
     # Closure-compilation counter (paxml.query.plan): plans lowered to
     # specialized closures (once per plan, on first execution).
     closure_compilations: int = 0
@@ -204,6 +188,21 @@ class Stats:
             "child_index": self._rate(self.index_hits, self.index_misses),
         }
 
+
+# Flags named here (comma-separated) stay OFF even through set_all(True):
+# the CI flag-matrix job uses this to run the whole tier-1 suite on the
+# spec oracle without editing every fixture that resets the flags.  An
+# unknown name fails loudly rather than pass while testing nothing.
+_ENV_DISABLED: FrozenSet[str] = frozenset(
+    name.strip()
+    for name in os.environ.get("PAXML_DISABLE_FLAGS", "").split(",")
+    if name.strip())
+_FLAG_NAMES = [f.name for f in fields(Flags)]
+if not _ENV_DISABLED.issubset(_FLAG_NAMES):
+    raise ValueError(
+        "PAXML_DISABLE_FLAGS names unknown flag(s) "
+        f"{', '.join(sorted(_ENV_DISABLED.difference(_FLAG_NAMES)))}; "
+        f"known flags: {', '.join(_FLAG_NAMES)}")
 
 flags = Flags()
 flags.set_all(True)  # apply any PAXML_DISABLE_FLAGS to the defaults

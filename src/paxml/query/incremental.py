@@ -29,7 +29,7 @@ from ..tree import store as tree_store
 from ..tree.antichain import BitsetAntichain
 from ..tree.document import Forest
 from ..tree.node import Node, current_stamp
-from ..tree.reduction import antichain_insert, canonical_key
+from ..tree.reduction import canonical_key
 from .matching import (
     binding_keyer,
     enumerate_assignments,
@@ -149,8 +149,7 @@ class _SiteState:
                  result_keys: set, doc_uids: Dict[str, int]):
         self.cutoff = cutoff          # stamp the cached assignments cover
         self.seen = seen              # binding keys of every assignment found
-        self.results = results        # reduced antichain of all results so far
-        #   (a plain list, or a BitsetAntichain when the store flag is on)
+        self.results = results        # BitsetAntichain of all results so far
         self.result_keys = result_keys  # canonical keys of every answer seen
         self.doc_uids = doc_uids      # environment identity check
 
@@ -172,7 +171,7 @@ class IncrementalQueryEvaluator:
         # canonical key).  Distinct call sites of one service routinely
         # derive the same valuations; returning the *same* answer object
         # keeps its uid/version stable, so the persistent subsumption
-        # cache, the per-node canonical-key slot and the columnar-store
+        # cache, the per-node canonical-key slot and the subtree-bits
         # row all stay hot instead of being defeated by fresh uids.
         # Sound because answers are never mutated: grafting copies them
         # (``graft_answers``) and antichain membership is read-only.
@@ -249,8 +248,7 @@ class IncrementalQueryEvaluator:
             perf.stats.full_evaluations += 1
             assignments = enumerate_assignments(self.query, environment)
             seen: set = set()
-            use_index = perf.flags.columnar_store
-            results = BitsetAntichain() if use_index else []
+            results = BitsetAntichain()
             result_keys: set = set()
             head_key = self._head_key
             head_bits = self._head_bits
@@ -276,11 +274,8 @@ class IncrementalQueryEvaluator:
                 result_keys.add(key)
                 if obs_bus.ACTIVE:
                     self._stage_provenance(answer, key, environment, binding)
-                if use_index:
-                    results.insert(answer,
-                                   head_bits(binding) if head_bits else None)
-                else:
-                    antichain_insert(results, answer)
+                results.insert(answer,
+                               head_bits(binding) if head_bits else None)
             self._sites[site] = _SiteState(cutoff, seen, results, result_keys,
                                            doc_uids)
             return Forest(list(results))
@@ -289,15 +284,7 @@ class IncrementalQueryEvaluator:
         new_cutoff = current_stamp()
         new_assignments = enumerate_assignments_delta(
             self.query, environment, state.cutoff, state.seen)
-        # The site's antichain follows the store flag; converting (rare —
-        # only when the flag is toggled between invocations) preserves the
-        # kept set exactly.
         results = state.results
-        use_index = perf.flags.columnar_store
-        if use_index and isinstance(results, list):
-            results = state.results = BitsetAntichain(results)
-        elif not use_index and not isinstance(results, list):
-            results = state.results = results.items()
         delta: List[Node] = []
         head_key = self._head_key
         head_bits = self._head_bits
@@ -314,9 +301,8 @@ class IncrementalQueryEvaluator:
             state.result_keys.add(key)
             if obs_bus.ACTIVE:
                 self._stage_provenance(answer, key, environment, binding)
-            if (results.insert(answer,
-                               head_bits(binding) if head_bits else None)
-                    if use_index else antichain_insert(results, answer)):
+            if results.insert(answer,
+                              head_bits(binding) if head_bits else None):
                 delta.append(answer)
         state.cutoff = new_cutoff
         return Forest(delta)
@@ -344,8 +330,8 @@ class IncrementalQueryEvaluator:
         restored node has ``version <= cutoff`` — the next invocation
         joins only against data grafted *after* the resume.
         """
-        self._sites[site] = _SiteState(cutoff, set(), [], set(),
-                                       dict(doc_uids))
+        self._sites[site] = _SiteState(cutoff, set(), BitsetAntichain(),
+                                       set(), dict(doc_uids))
         perf.stats.site_cutoffs_restored += 1
 
 

@@ -11,7 +11,9 @@ Wire protocol — newline-delimited JSON, one object per line:
 
 * request  ``{"id": 7, "op": "inject", "tenant": "t0", ...}``
 * response ``{"id": 7, "ok": true, ...}`` or
-  ``{"id": 7, "ok": false, "error": "..."}``
+  ``{"id": 7, "ok": false, "error": "..."}``; a request line over 64 KiB
+  gets ``{"id": null, "ok": false, "error_type": "request_too_large",
+  ...}`` and the connection stays open
 * push     ``{"push": "delta", "sub": 3, "tenant": "t0",
   "answers": [...]}`` — unsolicited, interleaved with responses.
 
@@ -58,6 +60,10 @@ from .session import SessionError, TenantSession
 _TENANT_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
 
 MANIFEST = "manifest.json"
+
+# Longest request line a connection buffers (asyncio's default stream
+# limit); a longer line gets a ``request_too_large`` error and is skipped.
+_LINE_LIMIT = 2 ** 16
 
 
 @dataclass
@@ -156,7 +162,8 @@ class PaxmlServer:
             if self.options.spool_dir:
                 self._load_pool_spool()
         self._server = await asyncio.start_server(
-            self._serve_connection, self.options.host, self.options.port)
+            self._serve_connection, self.options.host, self.options.port,
+            limit=_LINE_LIMIT)
         self.port = self._server.sockets[0].getsockname()[1]
         self._driver = asyncio.ensure_future(self._drive())
         if self.options.idle_suspend and self.options.spool_dir:
@@ -549,18 +556,42 @@ class PaxmlServer:
         conn = _Connection(self, writer)
         try:
             while not self._stopping:
-                line = await reader.readline()
-                if not line:
-                    break
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # an unterminated last line, or EOF
+                    if not line:
+                        break
+                except asyncio.LimitOverrunError as exc:
+                    await _discard_line(reader, exc.consumed)
+                    await conn.send({
+                        "id": None, "ok": False,
+                        "error_type": "request_too_large",
+                        "error": f"request line over {_LINE_LIMIT} bytes "
+                                 "(discarded)"})
+                    continue
                 line = line.strip()
                 if not line:
                     continue
                 await conn.handle(line)
-        except (ConnectionResetError, asyncio.CancelledError):
+        except (ConnectionResetError, asyncio.IncompleteReadError,
+                asyncio.CancelledError):
             pass
         finally:
             await conn.close()
             self._conn_tasks.discard(task)
+
+
+async def _discard_line(reader: asyncio.StreamReader, scanned: int) -> None:
+    """Drop an over-limit line through its newline, ``scanned`` bytes
+    (already searched) at a time; IncompleteReadError if the peer closes."""
+    while True:
+        await reader.readexactly(scanned)
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as exc:
+            scanned = exc.consumed
 
 
 class _Connection:

@@ -273,15 +273,9 @@ class TenantSession:
                 f"graft ordinal {grafts} outside the readable window "
                 f"[0, {len(records)}] (log base {base})")
         seeds = self.kernel._seed_wire
-        if seeds is None or not records[:grafts]:
-            # Nothing has landed yet (or an empty prefix): the seed is
-            # the current state or the seed snapshot respectively.
-            if seeds is None:
-                return self.read()
-            documents = replay_prefix(seeds, [])
-        else:
-            documents = replay_prefix(seeds, records[:grafts])
-        replayed = documents.get(document_name)
+        if seeds is None:
+            return self.read()  # nothing has landed: the seed is current
+        replayed = replay_prefix(seeds, records[:grafts]).get(document_name)
         if replayed is None:
             raise SessionError(
                 f"document {document_name!r} has no seed snapshot")

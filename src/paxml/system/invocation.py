@@ -188,13 +188,13 @@ def graft_under(parent_path: List[Node], trees: List[Node]) -> List[Node]:
     :meth:`paxml.kernel.EvaluationKernel.apply_external` (the serve
     layer's client-driven grafts), checkpoint replay directly (its
     wire-restored trees must keep their original uids, so no copy).
-    Owning the PR 4 index maintenance (``note_graft``) and the
-    reduced-invariant restoration in one place is what keeps them wired
-    exactly once.
+    Owning the cache maintenance (the index's and the store's
+    ``note_graft``) and the reduced-invariant restoration in one place is
+    what keeps them wired exactly once.
     """
     parent = parent_path[-1]
     inserted: List[Node] = []
-    if perf.flags.columnar_store and len(trees) > 1 and len(parent.children) >= 32:
+    if len(trees) > 1 and len(parent.children) >= 32:
         # Batch graft against a wide sibling set: index the (already
         # reduced) children once, then each insert touches only the
         # bitset-posting candidates instead of scanning every sibling.
@@ -212,17 +212,15 @@ def graft_under(parent_path: List[Node], trees: List[Node]) -> List[Node]:
                 graft.parent = parent
                 inserted.append(graft)
     if inserted:
-        # Pre-touch versions let the columnar store distinguish rows that
-        # were current before this graft (patchable in place) from rows an
-        # earlier untracked mutation already staled (healed at read time).
-        pre_versions = ([node.version for node in parent_path]
-                        if perf.flags.columnar_store else None)
+        # Pre-touch versions let the caches tell entries that were current
+        # before this graft (patchable in place) from ones an earlier
+        # untracked mutation or a twin left stale (rebuilt at read time).
+        pre_versions = [node.version for node in parent_path]
         # One stamp for the whole graft batch: every ancestor's subtree
         # gained content, which is what delta matching keys on.
         parent.touch()
-        tree_index.note_graft(parent, inserted)
-        if pre_versions is not None:
-            tree_store.note_graft(parent_path, inserted, pre_versions)
+        tree_index.note_graft(parent, inserted, pre_versions[-1])
+        tree_store.note_graft(parent_path, inserted, pre_versions)
         _propagate_growth(parent_path)
     return inserted
 
@@ -275,4 +273,3 @@ def _propagate_growth(parent_path: List[Node]) -> None:
         ]
         if len(survivors) != len(ancestor.children):
             ancestor.children = survivors
-            tree_store.note_prune(ancestor)

@@ -11,7 +11,6 @@ from .index import (
     child_bucket,
     child_buckets,
     clear_index,
-    index_sizes,
     marking_census,
     marking_set,
     probe_bucket,
@@ -60,7 +59,6 @@ __all__ = [
     "fun",
     "is_equivalent",
     "is_reduced",
-    "index_sizes",
     "is_subsumed",
     "label",
     "lub",

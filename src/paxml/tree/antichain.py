@@ -67,16 +67,13 @@ class BitsetAntichain:
     __slots__ = ("_trees", "_bits", "_postings", "_anchored", "_anchor",
                  "_live")
 
-    def __init__(self, trees: Optional[List[Node]] = None):
+    def __init__(self) -> None:
         self._trees: List[Optional[Node]] = []
         self._bits: List[int] = []
         self._postings: Dict[int, Set[int]] = {}
         self._anchored: Dict[int, Set[int]] = {}
         self._anchor: Dict[int, int] = {}
         self._live = 0
-        if trees:
-            for tree in trees:
-                self.insert(tree)
 
     @classmethod
     def from_antichain(cls, trees) -> "BitsetAntichain":

@@ -5,9 +5,8 @@ The matchers in :mod:`paxml.query` repeatedly ask two questions about a
 document node: *which children carry marking m?* (constant sibling
 patterns, subsumption's candidate pairing) and *which children carry
 marking m and contain a given value one or two levels down?* (the probe
-side of a sibling join).  The seed code answered both with a linear scan
-of ``node.children`` per partial binding; this module answers them from
-per-parent buckets kept consistent with the versioned tree.
+side of a sibling join).  This module answers both from per-parent
+buckets kept consistent with the versioned tree.
 
 Consistency contract (see the version-stamp comment in
 :mod:`paxml.tree.node`):
@@ -16,6 +15,10 @@ Consistency contract (see the version-stamp comment in
   version (``add_child`` / the graft path call ``touch``), so an entry
   validated against ``node.version`` always contains **every current
   child** — a stale entry is impossible to read;
+* entries hold ``Node`` objects, so they are also validated by the
+  identity of the node they were built for: a twin sharing ``(uid,
+  version)`` (a point-in-time replay copy, a wire restore) builds its
+  own entry instead of handing its children to the live tree;
 * equivalence-preserving *pruning* (reduction evicting a subsumed
   sibling) may leave an entry holding a pruned child.  That is sound for
   every consumer here: a pruned child is subsumed by a surviving
@@ -32,19 +35,19 @@ subsumption cache: cleared wholesale on overflow, correct at any size.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .. import perf
 from .node import Marking, Node, Value
 
-# uid → (version at build, child count at build, marking → children)
+# uid → (node, version at build, child count at build, marking → children)
 _Buckets = Dict[Marking, List[Node]]
-_CHILD_INDEX: Dict[int, Tuple[int, int, _Buckets]] = {}
+_CHILD_INDEX: Dict[int, Tuple[Node, int, int, _Buckets]] = {}
 _CHILD_INDEX_MAX = 500_000
 
-# uid → (version at build, (p_marking, q_marking) → value marking → children)
+# uid → (node, version at build, (p_marking, q_marking) → value → children)
 _ProbeMap = Dict[Tuple[Marking, Marking], Dict[Marking, List[Node]]]
-_PROBE_INDEX: Dict[int, Tuple[int, _ProbeMap]] = {}
+_PROBE_INDEX: Dict[int, Tuple[Node, int, _ProbeMap]] = {}
 _PROBE_INDEX_MAX = 100_000
 
 _EMPTY: Tuple[Node, ...] = ()
@@ -68,21 +71,20 @@ def _build_buckets(node: Node) -> _Buckets:
 def child_buckets(node: Node) -> _Buckets:
     """The children of ``node`` grouped by marking, from the live index.
 
-    Validated against ``node.version``: any append since the entry was
-    built bumped the version, so a returned entry covers every current
-    child (see the module docstring for why pruned leftovers are sound).
+    Validated against ``node`` and its version: any append since the
+    entry was built bumped the version, so a returned entry covers every
+    current child (see the module docstring for why pruned leftovers are
+    sound).
     """
-    if not perf.flags.child_index:
-        return _build_buckets(node)
     entry = _CHILD_INDEX.get(node.uid)
-    if entry is not None and entry[0] == node.version:
+    if entry is not None and entry[1] == node.version and entry[0] is node:
         perf.stats.index_hits += 1
-        return entry[2]
+        return entry[3]
     perf.stats.index_misses += 1
     buckets = _build_buckets(node)
     if len(_CHILD_INDEX) >= _CHILD_INDEX_MAX:
         _CHILD_INDEX.clear()
-    _CHILD_INDEX[node.uid] = (node.version, len(node.children), buckets)
+    _CHILD_INDEX[node.uid] = (node, node.version, len(node.children), buckets)
     return buckets
 
 
@@ -91,30 +93,34 @@ def child_bucket(node: Node, marking: Marking) -> Sequence[Node]:
     return child_buckets(node).get(marking, _EMPTY)
 
 
-def note_graft(parent: Node, inserted: Sequence[Node]) -> None:
+def note_graft(parent: Node, inserted: Sequence[Node],
+               pre_version: int) -> None:
     """Patch ``parent``'s index entry after the graft path appended
-    ``inserted`` to its children (and bumped versions via ``touch``).
+    ``inserted`` to its children and ``touch`` moved its version on from
+    ``pre_version``.
 
-    Appending to the live buckets is O(inserted); when the antichain
-    insertion also *evicted* siblings the child count no longer lines up
-    and the entry is dropped instead (the next lookup rebuilds it), which
-    keeps entries exact — not merely equivalent — along the graft path.
+    Appending to the live buckets is O(inserted).  The entry is patched
+    only when it was current for ``parent`` before the touch and its
+    child count lines up with a pure append; otherwise (an entry built
+    for a twin or an older version, or siblings the antichain insertion
+    evicted) it is dropped and the next lookup rebuilds it, which keeps
+    entries exact — not merely equivalent — along the graft path.
     Ancestor entries need no treatment: the same ``touch`` bumped their
     versions, so their stale entries can never be read again.
     """
-    if not perf.flags.child_index:
-        return
     _PROBE_INDEX.pop(parent.uid, None)
     entry = _CHILD_INDEX.get(parent.uid)
     if entry is None:
         return
-    version, count, buckets = entry
-    if len(parent.children) != count + len(inserted):
+    node, version, count, buckets = entry
+    if (node is not parent or version != pre_version
+            or len(parent.children) != count + len(inserted)):
         del _CHILD_INDEX[parent.uid]
         return
     for child in inserted:
         buckets.setdefault(child.marking, []).append(child)
-    _CHILD_INDEX[parent.uid] = (parent.version, len(parent.children), buckets)
+    _CHILD_INDEX[parent.uid] = (parent, parent.version, len(parent.children),
+                                buckets)
     perf.stats.index_graft_patches += 1
 
 
@@ -135,15 +141,13 @@ def probe_bucket(node: Node, p_marking: Marking, q_marking: Marking,
                  value: Marking) -> Sequence[Node]:
     """Children of ``node`` with ``p_marking`` owning a ``q_marking`` child
     that has a value leaf marked ``value``."""
-    if not perf.flags.child_index:
-        return _probe_scan(node, p_marking, q_marking, value)
     entry = _PROBE_INDEX.get(node.uid)
-    if entry is None or entry[0] != node.version:
+    if entry is None or entry[1] != node.version or entry[0] is not node:
         if len(_PROBE_INDEX) >= _PROBE_INDEX_MAX:
             _PROBE_INDEX.clear()
-        entry = (node.version, {})
+        entry = (node, node.version, {})
         _PROBE_INDEX[node.uid] = entry
-    probes = entry[1]
+    probes = entry[2]
     key = (p_marking, q_marking)
     by_value = probes.get(key)
     if by_value is None:
@@ -170,18 +174,6 @@ def _build_probe(node: Node, p_marking: Marking,
     return by_value
 
 
-def _probe_scan(node: Node, p_marking: Marking, q_marking: Marking,
-                value: Marking) -> List[Node]:
-    """Index-off fallback: the same candidate set by linear scan."""
-    return [
-        child for child in node.children
-        if child.marking == p_marking and any(
-            grand.marking == q_marking and any(
-                leaf.marking == value for leaf in grand.children)
-            for grand in child.children)
-    ]
-
-
 # ----------------------------------------------------------------------
 # Subtree marking sets: the O(1) necessary condition for subsumption.
 #
@@ -189,9 +181,9 @@ def _probe_scan(node: Node, p_marking: Marking, q_marking: Marking,
 # node of t2, so markings(t1) ⊆ markings(t2) whenever t1 ⊑ t2.  (Only
 # the *set* is usable: homomorphisms are non-injective, so counts carry
 # no information — a{b, b, b} ⊑ a{b}.)  The sets are cached per
-# (uid, version) and shared across every subsumption entry point, which
-# turns the all-pairs comparisons of antichain maintenance over
-# value-distinct answers into frozenset subset tests.
+# (uid, version).  The engine's own subsumption prefilter reads the same
+# condition as packed ints from paxml.tree.store; this frozenset form is
+# the readable public spelling of it.
 # ----------------------------------------------------------------------
 
 _MARKING_SETS: Dict[int, Tuple[int, frozenset]] = {}
@@ -238,13 +230,3 @@ def marking_census(root: Node) -> Tuple[Dict[Marking, int], int]:
         _CENSUS.clear()
     _CENSUS[root.uid] = (root.version, counts, total)
     return counts, total
-
-
-def index_sizes() -> Dict[str, int]:
-    """Live entry counts, for the CLI and the metrics registry."""
-    return {
-        "child_entries": len(_CHILD_INDEX),
-        "probe_entries": len(_PROBE_INDEX),
-        "census_entries": len(_CENSUS),
-        "marking_set_entries": len(_MARKING_SETS),
-    }

@@ -37,57 +37,50 @@ def antichain_insert(keep: List[Node], candidate: Node) -> bool:
     representative is correct: reduced versions are unique up to
     isomorphism).
 
-    With the columnar store on, both directions are filtered in a single
-    pass over ``keep`` by packed-bitset containment before any simulation
-    runs: ``candidate ⊑ other`` needs ``bits(candidate) ⊆ bits(other)``
-    and vice versa, and one union computes both subset tests.  Merging the
-    drop check and the eviction sweep into one pass is safe because
-    ``keep`` is an antichain: if the candidate is subsumed by some kept
-    tree, no *other* kept tree is strictly subsumed by the candidate
-    (it would be subsumed by that kept tree too), so an early ``False``
-    return can never have missed a required eviction — survivors are
-    simply discarded.
+    Both directions are filtered in a single pass over ``keep`` by
+    packed-bitset containment before any simulation runs: ``candidate ⊑
+    other`` needs ``bits(candidate) ⊆ bits(other)`` and vice versa, and
+    one union computes both subset tests.  Merging the drop check and the
+    eviction sweep into one pass is safe because ``keep`` is an antichain:
+    if the candidate is subsumed by some kept tree, no *other* kept tree
+    is strictly subsumed by the candidate (it would be subsumed by that
+    kept tree too), so an early ``False`` return can never have missed a
+    required eviction — survivors are simply discarded.
     """
-    if perf.flags.columnar_store and keep:
-        cbits = subtree_bits(candidate)
-        # The loop below is the hottest code in the library (hundreds of
-        # thousands of pairs per benchmark scenario): the store row lookup
-        # is inlined — one dict probe, one list index, one compare — with
-        # the function call reserved for the rebuild path.
-        row_of = _store._UID_ROW.get
-        versions = _store._VERSIONS
-        all_bits = _store._BITS
-        survivors: List[Node] = []
-        evicted = False
-        rejects = 0
-        for other in keep:
-            row = row_of(other.uid)
-            if row is not None and versions[row] == other.version:
-                obits = all_bits[row]
-            else:
-                obits = subtree_bits(other)
-            union = cbits | obits
-            if union == obits:  # bits(candidate) ⊆ bits(other)
-                if is_subsumed(candidate, other):
-                    perf.stats.bitset_rejects += rejects
-                    return False
-            else:
-                rejects += 1
-            if union == cbits:  # bits(other) ⊆ bits(candidate)
-                if is_subsumed(other, candidate):
-                    evicted = True
-                    continue
-            else:
-                rejects += 1
-            survivors.append(other)
-        perf.stats.bitset_rejects += rejects
-        if evicted:
-            keep[:] = survivors
-        keep.append(candidate)
-        return True
-    if any(is_subsumed(candidate, other) for other in keep):
-        return False
-    keep[:] = [other for other in keep if not is_subsumed(other, candidate)]
+    cbits = subtree_bits(candidate)
+    # The loop below is the hottest code in the library (hundreds of
+    # thousands of pairs per benchmark scenario): the store row lookup is
+    # inlined — one dict probe, one list index, one compare — with the
+    # function call reserved for the rebuild path.
+    row_of = _store._UID_ROW.get
+    versions = _store._VERSIONS
+    all_bits = _store._BITS
+    survivors: List[Node] = []
+    evicted = False
+    rejects = 0
+    for other in keep:
+        row = row_of(other.uid)
+        if row is not None and versions[row] == other.version:
+            obits = all_bits[row]
+        else:
+            obits = subtree_bits(other)
+        union = cbits | obits
+        if union == obits:  # bits(candidate) ⊆ bits(other)
+            if is_subsumed(candidate, other):
+                perf.stats.bitset_rejects += rejects
+                return False
+        else:
+            rejects += 1
+        if union == cbits:  # bits(other) ⊆ bits(candidate)
+            if is_subsumed(other, candidate):
+                evicted = True
+                continue
+        else:
+            rejects += 1
+        survivors.append(other)
+    perf.stats.bitset_rejects += rejects
+    if evicted:
+        keep[:] = survivors
     keep.append(candidate)
     return True
 

@@ -1,62 +1,49 @@
-"""Columnar struct-of-arrays node store (the raw-speed backbone).
+"""Packed subtree marking bitsets, cached per ``(uid, version)``.
 
-The PR 4 hot loop is per-node Python object traversal: candidate
-filtering during subsumption and pattern matching spends most of its
-time in attribute lookups (``node.marking``, ``node.children``),
-``Marking.__eq__``/``__hash__`` calls and frozenset rebuilds.  This
-module keeps a *columnar* mirror of every tree the engines touch — flat
-parallel arrays keyed by a row index, with a ``uid → row`` map on the
-side:
+Subsumption (Definition 2.2) is a marking-preserving root-to-root
+homomorphism, so ``markings(t1) ⊆ markings(t2)`` is necessary for
+``t1 ⊑ t2``.  This module caches that marking set as one int per node —
+bit ``1 << mid`` set for every interned marking id ``mid`` occurring in
+the subtree — so the subset test is ``b1 & ~b2 == 0``.  Homomorphisms
+are non-injective, so only the *set* carries information, never counts.
 
-* ``_MIDS``     — interned marking ids (one small int per distinct
-  marking, process-wide; the id doubles as a bit position);
-* ``_VALUES``   — the atomic payload of value rows (``None`` elsewhere);
-* ``_PARENTS``  — parent row (−1 for a tree root);
-* ``_VERSIONS`` — the node's version stamp at (re)index time;
-* ``_BITS``     — the *packed subtree marking bitset*: an int with bit
-  ``1 << mid`` set for every marking occurring in the row's subtree;
-* ``_SPANS`` / ``_POOL`` — CSR-style child lists: each row owns a
-  contiguous ``(start, count)`` span of child rows in the shared pool,
-  plus a small per-row overflow list for children appended by the graft
-  path after the span was built;
-* ``_NODES``    — the object-tree facade: the ``Node`` each row mirrors.
+Rows are keyed by node uid and hold only ints, in parallel lists:
 
-Consistency contract (same clock as every other PR 1+ cache): a row is
-*valid* for a node iff ``_VERSIONS[row] == node.version``.  Structural
-appends bump versions to the root (``Node.touch``), so a stale row can
-never be read as current; equivalence-preserving pruning (reduction,
-antichain eviction) does not bump versions, and the subtree *marking
-set* is invariant under document equivalence (a pruned subtree's nodes
-all map onto marking-equal survivors), so ``_BITS`` stays exact through
-pruning.  Child lists are additionally validated by *count* — pruning
-shrinks ``len(node.children)`` without a version bump, and the count
-check is what forces a lazy span rebuild then.
+* ``_VERSIONS`` — the node's version stamp when the row was written;
+* ``_BITS``     — the packed subtree marking bitset.
+
+Consistency contract (the clock every cache in :mod:`paxml.perf` uses):
+a row answers for a node iff ``_VERSIONS[row] == node.version``.
+Structural appends bump versions to the root (``Node.touch``), so a stale
+row can never be read as current.  Equivalence-preserving pruning
+(reduction, antichain eviction) does not bump versions, and the subtree
+marking set is invariant under document equivalence (a pruned subtree's
+markings all occur in its subsuming sibling), so a row stays exact
+through pruning.  Distinct node objects sharing ``(uid, version)`` — wire
+restores, checkpoint resumes, point-in-time replays — have equivalent
+subtrees, so either twin's row answers for both: the same aliasing
+argument the persistent subsumption cache relies on.
 
 Maintenance is incremental along the engines' single mutation choke
-point: :func:`note_graft` (called by ``graft_trees`` under
-``EvaluationKernel.apply_graft``) patches the grafted parent's row and
-OR-merges the inserted bits up the ancestor chain in place, validated
-against the captured pre-``touch`` versions.  Mutations outside the
-graft path (e.g. a benchmark growing a document via ``add_child``) are
-healed at read time: a version-mismatched row triggers a subtree
-re-index that reuses every still-valid descendant row
-(``store_rebuild_patches`` counts these).
-
-Everything is gated by ``perf.flags.columnar_store``; with the flag off
-no consumer reads the arrays and nothing is maintained.
+point: :func:`note_graft` (called by ``graft_under``) OR-merges the
+inserted bits into the grafted parent and its ancestors, validated
+against their captured pre-``touch`` versions.  Mutations outside the
+graft path (e.g. ``add_child``) heal at read time: a stale row triggers
+a subtree rebuild that reuses every descendant row whose version still
+matches (``store_rebuild_patches`` counts these).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .. import perf
-from .node import Marking, Node, Value
+from .node import Marking, Node
 
 # ----------------------------------------------------------------------
 # Marking interning.  Ids are monotone and process-wide; the id is the
 # bit position in packed subtree bitsets, so clearing the intern table
-# and the row arrays must happen together (see clear_store).
+# and the rows must happen together (see clear_store).
 # ----------------------------------------------------------------------
 
 _MARKING_IDS: Dict[Marking, int] = {}
@@ -73,29 +60,17 @@ def intern_marking(marking: Marking) -> int:
     return mid
 
 
-def marking_for_id(mid: int) -> Marking:
-    return _MARKINGS[mid]
-
-
 # ----------------------------------------------------------------------
-# The columnar arrays.  Kept module-level (not on a class instance) so
-# the hot readers below touch plain globals, not attribute chains.
+# The rows.  Kept module-level (not on a class instance) so the hot
+# readers — including the loop inlined in reduction.antichain_insert —
+# touch plain globals, not attribute chains.
 # ----------------------------------------------------------------------
 
 _UID_ROW: Dict[int, int] = {}
-_UIDS: List[int] = []
-_MIDS: List[int] = []
-_VALUES: List[Optional[object]] = []
-_PARENTS: List[int] = []
 _VERSIONS: List[int] = []
 _BITS: List[int] = []
-_SPANS: List[Tuple[int, int]] = []      # (start, count) into _POOL; (-1, 0) = unbuilt
-_POOL: List[int] = []
-_OVERFLOW: Dict[int, List[int]] = {}
-_NODES: List[Node] = []
 
 _ROWS_MAX = 2_000_000
-_UNBUILT: Tuple[int, int] = (-1, 0)
 
 
 # Bumped on every wholesale clear; lets callers that cache interned ids
@@ -111,16 +86,8 @@ def clear_store() -> None:
     """Drop every row *and* the intern table (ids are bit positions)."""
     _GENERATION[0] += 1
     _UID_ROW.clear()
-    _UIDS.clear()
-    _MIDS.clear()
-    _VALUES.clear()
-    _PARENTS.clear()
     _VERSIONS.clear()
     _BITS.clear()
-    _SPANS.clear()
-    _POOL.clear()
-    _OVERFLOW.clear()
-    _NODES.clear()
     _MARKING_IDS.clear()
     _MARKINGS.clear()
 
@@ -129,259 +96,105 @@ perf.register_cache(clear_store)
 
 
 def store_sizes() -> Dict[str, int]:
-    """Live array sizes, for the CLI and the metrics registry."""
+    """Live sizes, for the CLI and the metrics registry."""
     return {
-        "rows": len(_UIDS),
+        "rows": len(_BITS),
         "interned_markings": len(_MARKINGS),
-        "child_pool": len(_POOL),
-        "overflow_rows": len(_OVERFLOW),
     }
 
 
 # ----------------------------------------------------------------------
-# Indexing.
+# Building and reading.
 # ----------------------------------------------------------------------
 
 
-def _alloc(node: Node, parent_row: int) -> int:
-    """Claim (or reclaim) the row for ``node``; version marked unbuilt."""
-    row = _UID_ROW.get(node.uid)
-    marking = node.marking
-    mid = intern_marking(marking)
-    if row is None:
-        if len(_UIDS) >= _ROWS_MAX:
-            clear_store()
-            mid = intern_marking(marking)
-            parent_row = -1  # the caller's rows are gone too
-        row = len(_UIDS)
-        _UID_ROW[node.uid] = row
-        _UIDS.append(node.uid)
-        _MIDS.append(mid)
-        _VALUES.append(marking.value if type(marking) is Value else None)
-        _PARENTS.append(parent_row)
-        _VERSIONS.append(-1)
-        _BITS.append(0)
-        _SPANS.append(_UNBUILT)
-        _NODES.append(node)
-    else:
-        _MIDS[row] = mid
-        _VALUES[row] = marking.value if type(marking) is Value else None
-        _PARENTS[row] = parent_row
-        _VERSIONS[row] = -1
-        _SPANS[row] = _UNBUILT
-        _OVERFLOW.pop(row, None)
-        _NODES[row] = node
-    return row
+def _build(root: Node) -> int:
+    """(Re)write the rows of ``root``'s subtree; returns ``root``'s row.
 
-
-def _build(root: Node, parent_row: int) -> int:
-    """(Re)index the subtree at ``root``, reusing valid descendant rows.
-
-    Iterative post-order: a node's bits and child span are written only
-    after all its children hold valid rows; the version is written last
-    so a half-built row can never validate.
+    Iterative post-order: every descendant whose row still matches its
+    version is reused as is; a node's bits are written only after all its
+    children hold current rows, and its version last, so a half-built
+    row never validates.
     """
-    stack: List[Tuple[Node, int, bool]] = [(root, parent_row, False)]
+    perf.stats.store_rebuild_patches += 1
+    if len(_BITS) >= _ROWS_MAX:
+        clear_store()
+    stack: List[Tuple[Node, bool]] = [(root, False)]
     while stack:
-        node, prow, expanded = stack.pop()
+        node, expanded = stack.pop()
+        row = _UID_ROW.get(node.uid)
         if not expanded:
-            row = _UID_ROW.get(node.uid)
-            if row is not None and _VERSIONS[row] == node.version \
-                    and _NODES[row] is node:
-                _PARENTS[row] = prow
-                continue
-            row = _alloc(node, prow)
-            stack.append((node, row, True))
-            for child in reversed(node.children):
-                stack.append((child, row, False))
+            if row is None or _VERSIONS[row] != node.version:
+                stack.append((node, True))
+                stack.extend((child, False) for child in node.children)
+            continue
+        bits = 1 << intern_marking(node.marking)
+        for child in node.children:
+            bits |= _BITS[_UID_ROW[child.uid]]
+        if row is None:
+            row = _UID_ROW[node.uid] = len(_BITS)
+            _BITS.append(bits)
+            _VERSIONS.append(node.version)
         else:
-            row = prow  # the row claimed in the first visit
-            bits = 1 << _MIDS[row]
-            start = len(_POOL)
-            for child in node.children:
-                crow = _UID_ROW[child.uid]
-                _POOL.append(crow)
-                bits |= _BITS[crow]
-            _SPANS[row] = (start, len(node.children))
             _BITS[row] = bits
             _VERSIONS[row] = node.version
     return _UID_ROW[root.uid]
 
 
-def ensure_row(node: Node, parent_row: int = -1) -> int:
-    """A valid row for ``node``, re-indexing its subtree if stale."""
-    row = _UID_ROW.get(node.uid)
-    if row is not None and _VERSIONS[row] == node.version \
-            and _NODES[row] is node:
-        if parent_row >= 0:
-            # A caller that knows the parent retargets the offset: the row
-            # may have been built context-free (e.g. an answer tree whose
-            # bits were read before it was grafted anywhere).
-            _PARENTS[row] = parent_row
-        return row
-    perf.stats.store_rebuild_patches += 1
-    return _build(node, parent_row)
-
-
-def warm(root: Node) -> int:
-    """Index a whole tree (idempotent); returns the root row."""
-    return ensure_row(root, -1)
-
-
-# ----------------------------------------------------------------------
-# Hot readers.
-# ----------------------------------------------------------------------
-
-
 def subtree_bits(node: Node) -> int:
     """The packed marking bitset of ``node``'s subtree.
 
-    The fast path is two dict/list probes and a compare.  Identity of
-    the mirrored ``Node`` is deliberately *not* checked here: distinct
-    node objects sharing ``(uid, version)`` only arise from wire
-    restores, which reproduce the exact structure — the bitset is
-    structure-determined, so either twin's row answers for both (the
-    same aliasing argument the persistent subsumption cache relies on).
+    The fast path is one dict probe, one list index and a compare;
+    a missing or stale row is rebuilt.
     """
     row = _UID_ROW.get(node.uid)
     if row is not None and _VERSIONS[row] == node.version:
         return _BITS[row]
-    perf.stats.store_rebuild_patches += 1
-    return _BITS[_build(node, -1)]
+    return _BITS[_build(node)]
 
 
-def marking_id(node: Node) -> int:
-    """The interned marking id of ``node`` (indexes the row if needed)."""
-    return _MIDS[ensure_row(node)]
-
-
-def children_rows(node: Node) -> List[int]:
-    """The child rows of ``node``, validated by version *and* count.
-
-    The count check catches equivalence-preserving pruning, which
-    shrinks the child list without bumping the version (see the module
-    docstring); a mismatch rebuilds this row's span in place.
-    """
-    row = ensure_row(node)
-    start, count = _SPANS[row]
-    over = _OVERFLOW.get(row)
-    total = count + (len(over) if over else 0)
-    if start < 0 or total != len(node.children):
-        start = len(_POOL)
-        for child in node.children:
-            _POOL.append(ensure_row(child, row))
-        _SPANS[row] = (start, len(node.children))
-        _OVERFLOW.pop(row, None)
-        perf.stats.store_rebuild_patches += 1
-        return _POOL[start:start + len(node.children)]
-    rows = _POOL[start:start + count]
-    if over:
-        rows.extend(over)
-    return rows
-
-
-def node_at(row: int) -> Node:
-    """Materialize the ``Node`` facade behind ``row``."""
-    perf.stats.facade_materializations += 1
-    return _NODES[row]
-
-
-def row_version(row: int) -> int:
-    return _VERSIONS[row]
-
-
-def row_parent(row: int) -> int:
-    return _PARENTS[row]
-
-
-def row_marking(row: int) -> Marking:
-    return _MARKINGS[_MIDS[row]]
-
-
-def row_value(row: int) -> Optional[object]:
-    return _VALUES[row]
-
-
-# ----------------------------------------------------------------------
-# Graft-path maintenance.
-# ----------------------------------------------------------------------
+def warm(root: Node) -> None:
+    """Write current rows for a whole tree (idempotent)."""
+    subtree_bits(root)
 
 
 def note_graft(path: List[Node], inserted: Sequence[Node],
                pre_versions: Sequence[int]) -> None:
-    """Patch the store after the graft path appended ``inserted`` under
+    """Patch the rows after the graft path appended ``inserted`` under
     ``path[-1]`` and ``touch`` bumped versions along ``path``.
 
     ``path`` is the root-to-parent path *inclusive of the parent* that
-    gained children (the graft primitive's ``parent_path``).
-
+    gained children (the graft primitive's ``parent_path``), and
     ``pre_versions`` are the path nodes' versions captured *before* the
-    touch: a row is patched in place only when it was valid against the
-    pre-touch state (otherwise an earlier untracked mutation left it
-    stale, and marking it current here would launder wrong bits — such
-    rows heal at the next read instead).
+    touch.  A row is patched only when it was current against the
+    pre-touch state; otherwise an earlier untracked mutation (or a twin
+    at another version) left it stale, and stamping it current would
+    launder wrong bits — such rows heal at the next read instead.
 
-    For the parent, the antichain insertion may also have *evicted*
-    siblings the grafts subsume; evicted subtrees' markings are
-    contained in the graft's (that is what subsumption means), so the
-    OR-merged bits stay exact and only the child span needs rebuilding.
+    Evictions the graft caused (the antichain insertion under the parent,
+    ``_propagate_growth`` above it) drop subtrees subsumed by a survivor,
+    whose markings are therefore still present: OR-merging the inserted
+    bits keeps every patched row exact.
     """
-    if not perf.flags.columnar_store:
-        return
+    ins_bits = 0
+    for tree in inserted:
+        ins_bits |= subtree_bits(tree)
     parent = path[-1]
     prow = _UID_ROW.get(parent.uid)
-    if prow is None or _NODES[prow] is not parent:
+    if prow is None:
         # Bootstrap: the first graft into a document the store has never
-        # seen warms the whole tree (post-touch, so the build is already
-        # consistent with this graft); every later graft patches in place.
-        ensure_row(path[0], -1)
+        # seen writes the whole tree (post-touch, so the build already
+        # includes this graft); every later graft patches in place.
+        warm(path[0])
         return
-    patched_parent = False
-    ins_bits = 0
-    if _VERSIONS[prow] == pre_versions[-1] \
-            and _NODES[prow] is parent:
-        for tree in inserted:
-            ins_bits |= _BITS[ensure_row(tree, prow)]
-        start, count = _SPANS[prow]
-        over = _OVERFLOW.get(prow)
-        known = count + (len(over) if over else 0)
-        if start >= 0 and known + len(inserted) == len(parent.children):
-            # Pure append: extend the overflow list with the new rows.
-            if over is None:
-                over = _OVERFLOW[prow] = []
-            for tree in inserted:
-                over.append(_UID_ROW[tree.uid])
-        else:
-            # Eviction (or an unbuilt span): rebuild the span from the
-            # live child list; survivors' rows are still valid.
-            start = len(_POOL)
-            for child in parent.children:
-                _POOL.append(ensure_row(child, prow))
-            _SPANS[prow] = (start, len(parent.children))
-            _OVERFLOW.pop(prow, None)
-        _BITS[prow] |= ins_bits
-        _VERSIONS[prow] = parent.version
-        patched_parent = True
-    if not patched_parent:
+    if _VERSIONS[prow] != pre_versions[-1]:
         return  # ancestors would merge unverified bits; heal lazily
+    _BITS[prow] |= ins_bits
+    _VERSIONS[prow] = parent.version
     for depth in range(len(path) - 2, -1, -1):
         node = path[depth]
         row = _UID_ROW.get(node.uid)
-        if row is None or _VERSIONS[row] != pre_versions[depth] \
-                or _NODES[row] is not node:
-            continue
-        _BITS[row] |= ins_bits
-        _VERSIONS[row] = node.version
+        if row is not None and _VERSIONS[row] == pre_versions[depth]:
+            _BITS[row] |= ins_bits
+            _VERSIONS[row] = node.version
     perf.stats.store_graft_patches += 1
-
-
-def note_prune(node: Node) -> None:
-    """Drop ``node``'s child span after an eviction outside the graft
-    parent (``_propagate_growth``): bits and version stay exact (pruning
-    is equivalence-preserving), only the child list must rebuild."""
-    if not perf.flags.columnar_store:
-        return
-    row = _UID_ROW.get(node.uid)
-    if row is not None:
-        _SPANS[row] = _UNBUILT
-        _OVERFLOW.pop(row, None)

@@ -22,10 +22,10 @@ under equivalence, so those entries stay correct too.)
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .. import perf
-from .index import child_buckets, marking_set
+from .index import child_buckets
 from .node import Node
 from .store import subtree_bits
 
@@ -106,24 +106,19 @@ def is_subsumed(t1: Node, t2: Node) -> bool:
 
     Entry fast path: a homomorphism maps every node of ``t1`` onto a
     marking-equal node of ``t2``, so the subtree marking set of ``t1``
-    must be contained in that of ``t2``.  With the columnar store on the
-    containment test is one int expression over packed bitsets
-    (``b1 & ~b2`` is nonzero iff some marking of ``t1`` is missing from
-    ``t2``); otherwise (gated with the index flag) it is the PR 4 cached
-    frozenset subset test.  Either form rejects most all-pairs
-    comparisons between value-distinct answer trees before any recursion.
+    must be contained in that of ``t2``.  Over packed bitsets the
+    containment test is one int expression (``b1 & ~b2`` is nonzero iff
+    some marking of ``t1`` is missing from ``t2``), which rejects most
+    all-pairs comparisons between value-distinct answer trees before any
+    recursion.
     """
     if t1.marking != t2.marking:
         # Root markings must agree before any homomorphism exists; testing
         # this first keeps mismatched fresh trees (canonical_key's sibling
         # maximality filter produces many) from ever touching the store.
         return False
-    if perf.flags.columnar_store:
-        if subtree_bits(t1) & ~subtree_bits(t2):
-            perf.stats.bitset_rejects += 1
-            return False
-    elif perf.flags.child_index and not marking_set(t1) <= marking_set(t2):
-        perf.stats.subsumption_early_rejects += 1
+    if subtree_bits(t1) & ~subtree_bits(t2):
+        perf.stats.bitset_rejects += 1
         return False
     return _simulates(t1, t2, {})
 
@@ -176,13 +171,3 @@ def forest_subsumed(phi: Sequence[Node], phi2: Sequence[Node]) -> bool:
 
 def forest_equivalent(phi: Sequence[Node], phi2: Sequence[Node]) -> bool:
     return forest_subsumed(phi, phi2) and forest_subsumed(phi2, phi)
-
-
-def assert_subsumed(t1: Node, t2: Node) -> None:
-    """Assertion helper with a readable diff for tests and debugging."""
-    if not is_subsumed(t1, t2):
-        from .serializer import to_canonical
-
-        raise AssertionError(
-            f"expected subsumption:\n  {to_canonical(t1)}\n  ⊄\n  {to_canonical(t2)}"
-        )

@@ -49,7 +49,6 @@ from paxml.tree import (
     probe_bucket,
     val,
 )
-from paxml.tree.index import _probe_scan
 from paxml.tree.node import Label, Value
 from paxml.tree.reduction import reduce_forest
 from paxml.workloads import (
@@ -296,7 +295,13 @@ def test_probe_bucket_matches_linear_scan():
                       for leaf in node.children
                       if isinstance(leaf.marking, Value)}:
             indexed = probe_bucket(tree, Label("t"), Label("c0"), value)
-            scanned = _probe_scan(tree, Label("t"), Label("c0"), value)
+            # The definition: children t owning a c0 child with leaf value.
+            scanned = [
+                child for child in tree.children
+                if child.marking == Label("t") and any(
+                    grand.marking == Label("c0") and any(
+                        leaf.marking == value for leaf in grand.children)
+                    for grand in child.children)]
             assert list(indexed) == scanned
 
 
@@ -323,17 +328,14 @@ def test_marking_set_reject_is_sound_for_non_injective_simulations():
     assert is_subsumed(parse_tree("a{b, b, b}"), parse_tree("a{b}"))
     assert marking_set(parse_tree("a{b{c}}")) == {
         Label("a"), Label("b"), Label("c")}
-    # With the columnar store on the entry reject is the packed-bitset
-    # test; with it off, the PR 4 cached-frozenset subset test.  Set
-    # explicitly: this test exercises both paths whatever the CI
-    # flag-matrix job disabled by default.
-    perf.flags.columnar_store = True
+    # The entry reject is the packed-bitset subset test.
     before = perf.stats.bitset_rejects
     assert not is_subsumed(parse_tree("a{x}"), parse_tree("a{y}"))
     assert perf.stats.bitset_rejects > before
-    perf.flags.columnar_store = False
+    # Contained marking sets pass the entry test; the simulation's bucket
+    # reject (a child marking with no counterpart one level down) fires.
     before = perf.stats.subsumption_early_rejects
-    assert not is_subsumed(parse_tree("a{x}"), parse_tree("a{y}"))
+    assert not is_subsumed(parse_tree("a{b{c}}"), parse_tree("a{b{d}, c}"))
     assert perf.stats.subsumption_early_rejects > before
 
 

@@ -260,3 +260,38 @@ def test_concurrent_clients_one_tenant():
             assert asyncio.get_event_loop().time() < deadline
             await asyncio.sleep(0.01)
     run_scenario(scenario)
+
+
+def test_oversized_request_gets_an_error_and_the_connection_survives():
+    async def scenario(server, client):
+        reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                       server.port)
+        try:
+            # A ~100 KB system: over the 64 KiB request-line limit.
+            filler = ", ".join(f"t{{c0{{{i}}}, c1{{{i + 1}}}}}"
+                               for i in range(5000))
+            system = f"@document d0\nr{{{filler}}}\n"
+            request = {"id": 1, "op": "create", "tenant": "big",
+                       "system": system}
+            line = json.dumps(request).encode() + b"\n"
+            assert len(line) > 100_000
+            # In pieces: the server first overruns its limit with no
+            # newline in sight, then finds it in a later read.
+            for start in range(0, len(line), 40_000):
+                writer.write(line[start:start + 40_000])
+                await writer.drain()
+                await asyncio.sleep(0.02)
+            writer.write(json.dumps({"id": 2, "op": "tenants"}).encode()
+                         + b"\n")
+            await writer.drain()
+            error = json.loads(await asyncio.wait_for(reader.readline(), 10))
+            assert error["ok"] is False
+            assert error["error_type"] == "request_too_large"
+            reply = json.loads(await asyncio.wait_for(reader.readline(), 10))
+            assert reply["id"] == 2 and reply["ok"] is True
+            assert reply["tenants"] == []
+        finally:
+            writer.close()
+            await writer.wait_closed()
+        assert "big" not in server.sessions
+    run_scenario(scenario)

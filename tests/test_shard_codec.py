@@ -15,6 +15,7 @@ from __future__ import annotations
 import base64
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -142,6 +143,48 @@ class TestMalformed:
         blob = encode_batch([make_record()])
         with pytest.raises(CodecError):
             decode_batch(blob[:len(blob) // 2])
+
+    def test_trailing_bytes_rejected(self):
+        blob = encode_batch([make_record()])
+        with pytest.raises(CodecError, match="trailing bytes"):
+            decode_batch(blob + b"\x00")
+        with pytest.raises(CodecError, match="trailing bytes"):
+            decode_batch(blob + blob)
+
+    def test_mutants_decode_or_raise_codec_error(self):
+        # A real portal log, with the JSON side-channels and shard tags
+        # filled in so every field of the format can be hit.
+        system = portal_system(6, materialized_fraction=0.3, n_irrelevant=2,
+                               seed=3)
+        engine = RewritingEngine(system)
+        engine.run()
+        records = [
+            replace(record, obs=[{"text": f"n{i}", "staged": True}],
+                    trace={"trace_id": f"t{i}", "span_id": "s"}, shard=i)
+            if i % 2 else record
+            for i, record in enumerate(engine.kernel.log.records)]
+        blob = encode_batch(records)
+        assert decode_batch(blob) == records
+        rng = random.Random(20)
+        outcomes = {"decoded": 0, "rejected": 0}
+        for _ in range(1500):
+            data = bytearray(blob)
+            kind = rng.randrange(3)
+            if kind == 0:
+                data = data[:rng.randrange(len(data))]
+            elif kind == 1:
+                for _ in range(rng.randint(1, 4)):
+                    data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+            else:
+                data.insert(rng.randrange(len(data) + 1), 0xFF)
+            try:
+                decoded = decode_batch(bytes(data))
+            except CodecError:
+                outcomes["rejected"] += 1
+            else:
+                assert all(isinstance(r, GraftRecord) for r in decoded)
+                outcomes["decoded"] += 1
+        assert outcomes["rejected"] > 1000
 
 
 class TestBundleCompatibility:

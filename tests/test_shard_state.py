@@ -113,6 +113,34 @@ class TestFlagsSnapshotApply:
         perf.flags.apply({"graft_log": True})
         assert perf.flags.graft_log is False
 
+    def test_env_disabling_an_unknown_flag_is_an_error(self):
+        # A misspelt or deleted flag name must fail loudly at import, not
+        # pass while testing nothing.
+        env = dict(os.environ, PAXML_DISABLE_FLAGS="graft_log,no_such_flag")
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run([sys.executable, "-c", "import paxml"],
+                             capture_output=True, text=True, env=env,
+                             timeout=60)
+        assert out.returncode != 0
+        assert "ValueError" in out.stderr
+        assert "no_such_flag" in out.stderr
+        for name in perf.flags.snapshot():
+            assert name in out.stderr
+
+    def test_env_disabling_known_flags_applies(self):
+        env = dict(os.environ,
+                   PAXML_DISABLE_FLAGS=" graft_log , incremental_matching")
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import json; from paxml import perf; "
+             "print(json.dumps(perf.flags.snapshot()))"],
+            capture_output=True, text=True, env=env, timeout=60, check=True)
+        flags = json.loads(out.stdout)
+        assert flags["graft_log"] is False
+        assert flags["incremental_matching"] is False
+        assert flags["tracing"] is True
+
 
 class TestBootstrapInProcess:
     def test_resets_stats_and_bus_and_applies_flags(self):
@@ -192,7 +220,7 @@ def test_spawned_worker_applies_explicit_config_over_defaults():
     # A fresh interpreter (what the spawn start method gives a worker)
     # boots with compiled-in defaults; the explicit snapshot must win.
     explicit = dict(perf.flags.snapshot(), graft_log=False,
-                    child_index=False)
+                    canonical_key_cache=False)
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     out = subprocess.run(
@@ -200,5 +228,5 @@ def test_spawned_worker_applies_explicit_config_over_defaults():
         capture_output=True, text=True, env=env, timeout=60, check=True)
     report = json.loads(out.stdout)
     assert report["flags"]["graft_log"] is False
-    assert report["flags"]["child_index"] is False
+    assert report["flags"]["canonical_key_cache"] is False
     assert report["stamp"] % 4 == 3

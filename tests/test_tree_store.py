@@ -1,16 +1,18 @@
-"""The columnar store and bitset antichain against their object oracles.
+"""The subtree-bits cache and the bitset antichain against the definitions.
 
-The PR 6 raw-speed layer (``paxml.tree.store``, ``paxml.tree.antichain``
-and the evaluator's head templates) is pure acceleration: every array,
-bitset and compiled closure must be observationally equivalent to the
-PR 4 object-tree paths it shadows.  These tests drive the store through
-hundreds of random graft sequences — clean, batch-wide, fault-injected
-and across a checkpoint/resume boundary with the flag flipped on exactly
-one side — and check the arrays cell by cell against the object tree.
+``paxml.tree.store``, ``paxml.tree.antichain`` and the evaluator's head
+templates are pure acceleration: every cached bitset must equal the
+marking set recomputed from the object tree, and every run must reach a
+fixpoint equivalent (Definition 2.2, applied by ``is_equivalent``, which
+uses no bitset prefilter) to the spec-oracle run.  These tests drive the
+cache through hundreds of random graft sequences — clean, batch-wide,
+fault-injected, across a checkpoint/resume boundary and around
+point-in-time replays — and check every node.
 """
 
 from __future__ import annotations
 
+import asyncio
 import random
 
 import pytest
@@ -23,18 +25,26 @@ from paxml.query.incremental import (
     _compile_head_bits,
     _compile_head_key,
 )
-from paxml.query.matching import enumerate_assignments, evaluate_snapshot
+from paxml.query.matching import (
+    enumerate_assignments,
+    evaluate_snapshot,
+    spec_snapshot,
+)
 from paxml.query.parser import parse_query
 from paxml.query.pattern import instantiate
 from paxml.runtime import AsyncRuntime, FaultInjector, RuntimeConfig, RuntimeStatus
+from paxml.serve import TenantSession
 from paxml.system import materialize
 from paxml.system.invocation import graft_trees
 from paxml.system.rewriting import RewritingEngine
-from paxml.tree import canonical_key, is_subsumed, label, val
+from paxml.tree import canonical_key, is_equivalent, is_subsumed, label, val
 from paxml.tree import store as tree_store
 from paxml.tree.antichain import BitsetAntichain
+from paxml.tree.index import child_buckets
 from paxml.tree.node import Node
+from paxml.tree.parser import parse_tree
 from paxml.tree.reduction import antichain_insert
+from paxml.tree.subsumption import _simulates
 from paxml.workloads import (
     chain_edges,
     portal_system,
@@ -55,7 +65,7 @@ def _clean_perf():
 
 
 # ----------------------------------------------------------------------
-# the cell-by-cell oracle
+# the definitions as oracles
 # ----------------------------------------------------------------------
 
 
@@ -68,19 +78,23 @@ def oracle_bits(node: Node) -> int:
 
 
 def assert_store_consistent(root: Node) -> None:
-    """Every row the store answers for ``root`` must match the objects."""
+    """Every bitset the store answers for ``root`` matches the objects."""
     for node in root.iter_nodes():
-        row = tree_store.ensure_row(node)
-        assert tree_store.row_marking(row) == node.marking
-        assert tree_store.row_version(row) == node.version
-        assert tree_store.node_at(row) is node
         assert tree_store.subtree_bits(node) == oracle_bits(node)
-        child_rows = tree_store.children_rows(node)
-        assert [tree_store.node_at(r) for r in child_rows] == node.children
-        for crow in child_rows:
-            assert tree_store.row_parent(crow) == row
-        if node.is_value:
-            assert tree_store.row_value(row) == node.marking.value
+
+
+def assert_reduced(node: Node) -> None:
+    """No two siblings anywhere are comparable (Definition 2.2 directly)."""
+    for parent in node.iter_nodes():
+        for i, a in enumerate(parent.children):
+            for b in parent.children[i + 1:]:
+                assert not _simulates(a, b, {})
+                assert not _simulates(b, a, {})
+
+
+def forest_doc(trees) -> Node:
+    """Wrap a forest as one document so forests compare by equivalence."""
+    return label("forest", *[tree.copy() for tree in trees])
 
 
 def path_to(root: Node, node: Node) -> list:
@@ -94,19 +108,49 @@ def path_to(root: Node, node: Node) -> list:
     return path
 
 
+def _positions(path: list) -> list:
+    return [parent.children.index(child)
+            for parent, child in zip(path, path[1:])]
+
+
+def _at(root: Node, positions: list) -> Node:
+    for position in positions:
+        root = root.children[position]
+    return root
+
+
+def _assert_docs_equivalent(system, reference) -> None:
+    assert set(system.documents) == set(reference.documents)
+    for name, doc in system.documents.items():
+        assert is_equivalent(doc.root, reference.documents[name].root), name
+
+
+def _spec_oracle_run(system) -> None:
+    """Materialize with every call-site evaluation on the spec oracle."""
+    perf.flags.incremental_matching = False
+    try:
+        assert materialize(system).terminated
+    finally:
+        perf.flags.set_all(True)
+
+
 # ----------------------------------------------------------------------
-# random graft sequences: store vs object tree, flag-on vs flag-off
+# random graft sequences: store vs object tree, graft vs definition
 # ----------------------------------------------------------------------
 
 
-def _run_graft_sequence(seed: int, flag_on: bool, check: bool) -> Node:
-    """One deterministic random graft sequence; returns the final tree."""
-    perf.flags.columnar_store = flag_on
+def _run_graft_sequence(seed: int) -> Node:
+    """One deterministic random graft sequence, checked at every step.
+
+    After each graft the tree must be equivalent to the unreduced
+    document the definition gives (the previous tree with the forest
+    added under the target's parent), and every cached bitset must equal
+    its recomputation.
+    """
     tree_store.clear_store()
     rng = random.Random(seed)
     root = random_tree(18, seed)
-    if flag_on:
-        tree_store.warm(root)
+    tree_store.warm(root)
     for step in range(6):
         targets = [n for n in root.iter_nodes()
                    if n is not root and not n.is_value]
@@ -115,20 +159,23 @@ def _run_graft_sequence(seed: int, flag_on: bool, check: bool) -> Node:
         target = rng.choice(targets)
         forest = [random_tree(rng.randint(1, 6), seed * 977 + step * 13 + i)
                   for i in range(rng.randint(1, 3))]
-        graft_trees(path_to(root, target), forest)
-        if check and flag_on:
-            assert_store_consistent(root)
+        path = path_to(root, target)
+        expected = root.copy()
+        under = _at(expected, _positions(path[:-1]))
+        for tree in forest:
+            under.add_child(tree.copy())
+        graft_trees(path, forest)
+        assert is_equivalent(root, expected)
+        assert_store_consistent(root)
     return root
 
 
 @pytest.mark.parametrize("block", range(5))
 def test_store_matches_object_tree_on_100_random_graft_sequences(block):
-    """≥100 random graft sequences: arrays equal the objects cell by cell,
-    and the flag-on tree is structurally identical to the flag-off one."""
+    """≥100 random graft sequences: every cached bitset equals the object
+    tree's, and every graft yields the definition's document."""
     for seed in range(block * 20, block * 20 + 20):
-        with_store = _run_graft_sequence(seed, flag_on=True, check=True)
-        without = _run_graft_sequence(seed, flag_on=False, check=False)
-        assert canonical_key(with_store) == canonical_key(without)
+        _run_graft_sequence(seed)
 
 
 def test_untracked_mutations_heal_at_read_time():
@@ -145,7 +192,8 @@ def test_untracked_mutations_heal_at_read_time():
 
 def test_batch_graft_on_wide_parent_matches_sequential():
     """The ≥32-sibling batch path (BitsetAntichain.from_antichain) must
-    insert/evict exactly what per-tree antichain_insert would."""
+    insert/evict exactly what one-tree-at-a-time grafts would, and give
+    the definition's document."""
     def build():
         # 40 pairwise-incomparable siblings: distinct values.
         return label("wide", *[label("row", val(i)) for i in range(40)])
@@ -157,22 +205,27 @@ def test_batch_graft_on_wide_parent_matches_sequential():
     )
 
     results = {}
-    for flag_on in (False, True):
-        perf.flags.columnar_store = flag_on
+    for batched in (False, True):
         tree_store.clear_store()
         root = label("doc", build())
+        expected = label("doc", build())
         wide = root.children[0]
-        if flag_on:
-            tree_store.warm(root)
+        tree_store.warm(root)
         for batch in grafts:
-            inserted = graft_trees([root, wide, wide.children[0]],
-                                   [t.copy() for t in batch])
+            trees = [t.copy() for t in batch]
+            expected.children[0].children.extend(t.copy() for t in batch)
+            if batched:
+                inserted = graft_trees([root, wide, wide.children[0]], trees)
+            else:
+                inserted = [t for tree in trees for t in graft_trees(
+                    [root, wide, wide.children[0]], [tree])]
             assert len(inserted) >= 1
         for child in wide.children:
             assert child.parent is wide
-        if flag_on:
-            assert_store_consistent(root)
-        results[flag_on] = canonical_key(root)
+        assert is_equivalent(root, expected)
+        assert_reduced(root)
+        assert_store_consistent(root)
+        results[batched] = sorted(str(canonical_key(c)) for c in wide.children)
     assert results[True] == results[False]
 
 
@@ -181,19 +234,11 @@ def test_batch_graft_on_wide_parent_matches_sequential():
 # ----------------------------------------------------------------------
 
 
-def _doc_keys(system):
-    return {name: canonical_key(doc.root)
-            for name, doc in system.documents.items()}
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_fault_injected_run_keeps_store_consistent(seed):
     reference = tc_system(random_edges(5, 8, seed=seed))
-    perf.flags.columnar_store = False
-    materialize(reference)
-    expected = _doc_keys(reference)
+    _spec_oracle_run(reference)
 
-    perf.flags.columnar_store = True
     tree_store.clear_store()
     subject = tc_system(random_edges(5, 8, seed=seed))
     injector = FaultInjector(seed=seed, drop_rate=0.2, error_rate=0.2,
@@ -203,43 +248,47 @@ def test_fault_injected_run_keeps_store_consistent(seed):
                                                 max_attempts=6))
     result = runtime.run()
     assert result.status is RuntimeStatus.TERMINATED
-    assert _doc_keys(subject) == expected
+    _assert_docs_equivalent(subject, reference)
     for doc in subject.documents.values():
         assert_store_consistent(doc.root)
 
 
 def test_flag_matrix_reaches_the_same_fixpoint():
-    """columnar_store ∈ {0,1}: identical fixpoints."""
-    fixpoints = []
-    for columnar in (False, True):
+    """Every flag setting that changes how answers are computed reaches a
+    fixpoint equivalent to the spec-oracle run's."""
+    reference = portal_system(5, materialized_fraction=0.4, seed=11)
+    _spec_oracle_run(reference)
+    for disabled in ((), ("subsumption_cache",), ("canonical_key_cache",),
+                     ("subsumption_cache", "canonical_key_cache")):
         perf.flags.set_all(True)
-        perf.flags.columnar_store = columnar
+        for name in disabled:
+            setattr(perf.flags, name, False)
         perf.clear_caches()
         system = portal_system(5, materialized_fraction=0.4, seed=11)
-        outcome = materialize(system)
-        assert outcome.terminated
-        fixpoints.append(_doc_keys(system))
-    assert fixpoints[1] == fixpoints[0]
+        assert materialize(system).terminated
+        _assert_docs_equivalent(system, reference)
+        for doc in system.documents.values():
+            assert_store_consistent(doc.root)
 
 
 # ----------------------------------------------------------------------
-# checkpoint → resume with the store flag flipped on one side
+# checkpoint → resume with the matching mode flipped on one side
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("store_before,store_after",
+@pytest.mark.parametrize("incremental_before,incremental_after",
                          [(True, False), (False, True)])
-def test_checkpoint_resume_across_store_flag_flip(tmp_path, store_before,
-                                                  store_after):
-    """The store is derived data: a bundle written with the flag on must
-    resume with it off (and vice versa) to the exact reference fixpoint."""
-    perf.flags.columnar_store = False
+def test_checkpoint_resume_across_matching_flag_flip(
+        tmp_path, incremental_before, incremental_after):
+    """A bundle written by one matching mode resumes under the other to
+    the spec-oracle fixpoint.  The caches are kept across the resume, so
+    the restored twins (same uid and version as the checkpointed nodes)
+    read rows the checkpointing run wrote."""
     reference = portal_system(6, materialized_fraction=0.3, n_irrelevant=2,
                               seed=3)
-    assert materialize(reference).terminated
-    expected = _doc_keys(reference)
+    _spec_oracle_run(reference)
 
-    perf.flags.columnar_store = store_before
+    perf.flags.incremental_matching = incremental_before
     perf.clear_caches()
     system = portal_system(6, materialized_fraction=0.3, n_irrelevant=2,
                            seed=3)
@@ -249,16 +298,61 @@ def test_checkpoint_resume_across_store_flag_flip(tmp_path, store_before,
     bundle = str(tmp_path / "flip.jsonl")
     engine.checkpoint(bundle)
 
-    perf.flags.columnar_store = store_after
-    perf.clear_caches()
+    perf.flags.incremental_matching = incremental_after
     resumed = resume(bundle)
     result = resumed.run()
     assert result.status is RunStatus.TERMINATED
-    assert _doc_keys(resumed.system) == expected
-    if store_after:
-        # resume() warms the store from the restored documents
-        for doc in resumed.system.documents.values():
-            assert_store_consistent(doc.root)
+    _assert_docs_equivalent(resumed.system, reference)
+    for doc in resumed.system.documents.values():
+        assert_store_consistent(doc.root)
+
+
+# ----------------------------------------------------------------------
+# point-in-time replays share the caches with the live tree
+# ----------------------------------------------------------------------
+
+
+def test_replayed_reads_leave_the_live_caches_exact():
+    """``read_at`` replays copies that reuse the live uids through the
+    same caches.  Afterwards every index entry served for a live node
+    holds that node's own children, every bitset is exact, and an inject
+    streams exactly the delta the definitions give."""
+    query = "p{*T} :- d1/r{*T}"
+    session = TenantSession("t", tc_system(random_edges(4, 5, seed=11)))
+
+    def drive():
+        async def _run():
+            while session.has_work():
+                await session.run_slice(100_000)
+        asyncio.run(_run())
+
+    sub = session.subscribe(query)
+    drive()
+    before = [parse_tree(text) for text in list(sub.initial) + sub.drain()]
+    total = session.read("d1")["grafts"]
+    assert total > 1
+    # Cold caches (as after an overflow clear): the replayed copies, not
+    # the live tree, are the first to fill them.
+    perf.clear_caches()
+    session.read_at("d1", total // 2)
+    assert session.read_at("d1", total)["tree"] == session.read("d1")["tree"]
+
+    assert session.inject("d0", [label("t", label("c0", val(3)),
+                                       label("c1", val(99)))]) == 1
+    drive()
+    delta = [parse_tree(text) for text in sub.drain()]
+    assert delta
+
+    environment = session.environment()
+    for document in session.system.documents.values():
+        for node in document.root.iter_nodes():
+            for bucket in child_buckets(node).values():
+                for child in bucket:
+                    assert any(child is live for live in node.children)
+        assert_store_consistent(document.root)
+    expected = spec_snapshot(parse_query(query), environment)
+    assert is_equivalent(forest_doc(before + delta), forest_doc(expected))
+    assert not any(is_subsumed(new, old) for new in delta for old in before)
 
 
 # ----------------------------------------------------------------------
@@ -372,22 +466,23 @@ def test_head_bits_survive_a_store_clear():
 # ----------------------------------------------------------------------
 
 
-def test_incremental_evaluator_equivalent_across_store_flag():
+def test_incremental_evaluator_matches_the_spec_oracle():
+    """Full evaluation, then a delta after growth: together they must
+    give the spec oracle's answer on the grown document."""
     query = parse_query("p{c0{$x}, c1{$y}} :- "
                         "d/r{t{c0{$x}, c1{$z}}, t{c0{$z}, c1{$y}}}")
-    results = {}
-    for flag_on in (False, True):
-        perf.flags.columnar_store = flag_on
-        perf.clear_caches()
-        root = relation_tree(random_edges(5, 12, seed=7))
-        evaluator = IncrementalQueryEvaluator(query)
-        forest = list(evaluator.evaluate_delta({"d": root}, site=1))
-        # grow the relation and take the delta too
-        root.add_child(label("t", label("c0", val(0)), label("c1", val(4))))
-        forest.extend(evaluator.evaluate_delta({"d": root}, site=1))
-        results[flag_on] = _keys(forest)
-    assert results[True]  # the join is non-empty, no vacuous pass
-    assert results[True] == results[False]
+    root = relation_tree(random_edges(5, 12, seed=7))
+    evaluator = IncrementalQueryEvaluator(query)
+    forest = list(evaluator.evaluate_delta({"d": root}, site=1))
+    assert is_equivalent(forest_doc(forest),
+                         forest_doc(spec_snapshot(query, {"d": root})))
+    # grow the relation past an existing edge's head and take the delta
+    head = root.children[0].children[1].children[0].marking.value
+    root.add_child(label("t", label("c0", val(head)), label("c1", val(777))))
+    delta = list(evaluator.evaluate_delta({"d": root}, site=1))
+    assert forest and delta  # the join is non-empty, no vacuous pass
+    assert is_equivalent(forest_doc(forest + delta),
+                         forest_doc(spec_snapshot(query, {"d": root})))
 
 
 def test_const_subpattern_fast_path_fires():
@@ -406,9 +501,8 @@ def test_const_subpattern_fast_path_fires():
 def test_pr6_counters_reach_the_metrics_registry():
     """store/bitset/closure counters must flow through paxml.obs.metrics
     (the paxml_perf pull collector) without any extra wiring."""
-    # explicit (not via set_all): this test is about the PR 6 paths even
-    # when PAXML_DISABLE_FLAGS disables them by default
-    perf.flags.columnar_store = True
+    # explicit (not via set_all): this test is about the compiled paths
+    # even when PAXML_DISABLE_FLAGS disables them by default
     perf.flags.incremental_matching = True
     system = tc_system(chain_edges(4))
     perf.stats.reset()
@@ -418,7 +512,6 @@ def test_pr6_counters_reach_the_metrics_registry():
                     "paxml_perf_store_graft_patches",
                     "paxml_perf_bitset_rejects",
                     "paxml_perf_closure_compilations",
-                    "paxml_perf_facade_materializations",
                     "paxml_perf_const_subpattern_tests"):
         assert counter in scrape, counter
     assert perf.stats.closure_compilations > 0
